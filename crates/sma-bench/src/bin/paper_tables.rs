@@ -681,7 +681,6 @@ fn time_forced(table: &Table, smas: Option<&SmaSet>, force_sma: bool) -> std::ti
                     write_ms: 0.0,
                     failed_read_ms: 0.0,
                 },
-                hard_breakeven: None,
             },
             ..Default::default()
         }

@@ -21,10 +21,8 @@
 //! the new SMA image, never a torn one — and a torn or bit-flipped image
 //! fails the CRC and surfaces as [`SmaError::Corrupt`], which recovery
 //! answers by rebuilding from the base table (the paper's redundancy
-//! argument, §3).
-//!
-//! The legacy seed format `SMA1` (`payload_len u32 | "SMA1" | payload`,
-//! no checksum) is still decoded; writers always emit `SMA2`.
+//! argument, §3). That includes any stream without the `SMA2` magic, such
+//! as an image in the unchecksummed seed format.
 
 use std::path::Path;
 
@@ -38,7 +36,6 @@ use crate::expr::ScalarExpr;
 use crate::file::SmaFile;
 use crate::sma::{Sma, SmaError};
 
-const MAGIC_V1: &[u8; 4] = b"SMA1";
 const MAGIC_V2: &[u8; 4] = b"SMA2";
 
 /// Bytes before the payload in an `SMA2` stream: magic, length, crc.
@@ -385,58 +382,35 @@ pub fn encode_sma_stream(sma: &Sma) -> Vec<u8> {
     out
 }
 
-/// Decodes a byte stream produced by [`encode_sma_stream`] (or the legacy
-/// seed format `payload_len u32 | "SMA1" | payload`, which carries no
-/// checksum). Bytes past the declared length are ignored, so page-padded
-/// images decode unchanged. Truncation, bit flips, and checksum mismatches
-/// all surface as [`SmaError::Corrupt`] — never a panic and never a
-/// silently wrong SMA.
+/// Decodes a byte stream produced by [`encode_sma_stream`]. Bytes past
+/// the declared length are ignored, so page-padded images decode
+/// unchanged. A missing magic, truncation, bit flips, and checksum
+/// mismatches all surface as [`SmaError::Corrupt`] — never a panic and
+/// never a silently wrong SMA.
 pub fn decode_sma_stream(buf: &[u8]) -> Result<Sma, SmaError> {
-    if buf.len() >= 4 && &buf[..4] == MAGIC_V2 {
-        if buf.len() < V2_HEADER {
-            return Err(SmaError::Corrupt("SMA2 header truncated".into()));
-        }
-        let header_short = || SmaError::Corrupt("SMA2 header truncated".into());
-        let payload_len = bytes::get_u32_le(buf, 4).ok_or_else(header_short)? as usize;
-        let want = bytes::get_u32_le(buf, 8).ok_or_else(header_short)?;
-        let Some(payload) = buf[V2_HEADER..].get(..payload_len) else {
-            return Err(SmaError::Corrupt(format!(
-                "SMA2 stream truncated: header claims {payload_len} payload \
-                 bytes, {} present",
-                buf.len() - V2_HEADER
-            )));
-        };
-        let got = crc32(payload);
-        if got != want {
-            return Err(SmaError::Corrupt(format!(
-                "SMA2 checksum mismatch: stored {want:#010x}, computed {got:#010x}"
-            )));
-        }
-        return decode_payload(payload);
-    }
-    // Legacy `SMA1`: length prefix, then magic inside the body. A real
-    // length can never collide with `"SMA2"` read as an integer (~843 M —
-    // far beyond any plausible body). No checksum to verify: the decoder's
-    // structural checks are the only protection, which is why writers
-    // always emit SMA2.
-    if buf.len() < 8 {
-        return Err(SmaError::Corrupt(
-            "stream too short for any SMA format".into(),
-        ));
-    }
-    let body_len = bytes::get_u32_le(buf, 0)
-        .ok_or_else(|| SmaError::Corrupt("stream too short for any SMA format".into()))?
-        as usize;
-    let Some(body) = buf[4..].get(..body_len) else {
-        return Err(SmaError::Corrupt(format!(
-            "SMA1 stream truncated: header claims {body_len} body bytes, {} present",
-            buf.len() - 4
-        )));
-    };
-    if body.len() < 4 || &body[..4] != MAGIC_V1 {
+    if !buf.starts_with(MAGIC_V2) {
         return Err(SmaError::Corrupt("bad magic".into()));
     }
-    decode_payload(&body[4..])
+    if buf.len() < V2_HEADER {
+        return Err(SmaError::Corrupt("SMA2 header truncated".into()));
+    }
+    let header_short = || SmaError::Corrupt("SMA2 header truncated".into());
+    let payload_len = bytes::get_u32_le(buf, 4).ok_or_else(header_short)? as usize;
+    let want = bytes::get_u32_le(buf, 8).ok_or_else(header_short)?;
+    let Some(payload) = buf[V2_HEADER..].get(..payload_len) else {
+        return Err(SmaError::Corrupt(format!(
+            "SMA2 stream truncated: header claims {payload_len} payload \
+             bytes, {} present",
+            buf.len() - V2_HEADER
+        )));
+    };
+    let got = crc32(payload);
+    if got != want {
+        return Err(SmaError::Corrupt(format!(
+            "SMA2 checksum mismatch: stored {want:#010x}, computed {got:#010x}"
+        )));
+    }
+    decode_payload(payload)
 }
 
 // ------------------------------------------------------------- page layer
@@ -468,10 +442,10 @@ pub fn save_sma(sma: &Sma, store: &mut dyn PageStore) -> Result<(u32, u32), SmaE
     Ok((first, pages))
 }
 
-/// Reads a SMA previously written with [`save_sma`] at `first_page`.
-/// Accepts both `SMA2` and legacy `SMA1` images. A store that holds fewer
-/// pages than the stream header claims (a crash truncated the tail) is
-/// reported as [`SmaError::Corrupt`], not [`StoreError::OutOfRange`].
+/// Reads a SMA previously written with [`save_sma`] at `first_page`. A
+/// store that holds fewer pages than the stream header claims (a crash
+/// truncated the tail) is reported as [`SmaError::Corrupt`], not
+/// [`StoreError::OutOfRange`].
 pub fn load_sma(store: &dyn PageStore, first_page: u32) -> Result<Sma, SmaError> {
     if first_page >= store.page_count() {
         return Err(SmaError::Corrupt(format!(
@@ -482,19 +456,15 @@ pub fn load_sma(store: &dyn PageStore, first_page: u32) -> Result<Sma, SmaError>
     let mut head = [0u8; PAGE_SIZE];
     // sma-lint: allow(L1-page-discipline) -- SMA image layer reads raw stream pages; integrity is the stream CRC, not the pool's page footer
     store.read_page(first_page, &mut head)?;
-    // Both formats put a u32 length in the first 8 bytes; over-reading a
-    // few trailing zero-padded bytes is harmless, so derive a page count
-    // from whichever header is present.
-    let head_len = |off: usize| -> Result<usize, SmaError> {
-        Ok(bytes::get_u32_le(&head, off)
+    if !head.starts_with(MAGIC_V2) {
+        return Err(SmaError::Corrupt("bad magic".into()));
+    }
+    // Over-reading a few trailing zero-padded bytes is harmless, so the
+    // page count comes straight from the header's payload length.
+    let total = V2_HEADER
+        + bytes::get_u32_le(&head, 4)
             .ok_or_else(|| SmaError::Corrupt("SMA image header unreadable".into()))?
-            as usize)
-    };
-    let total = if head.starts_with(MAGIC_V2) {
-        V2_HEADER + head_len(4)?
-    } else {
-        4 + head_len(0)?
-    };
+            as usize;
     // `total` is bounded by u32::MAX + 12, so the page count always fits.
     let pages = u32::try_from(total.div_ceil(PAGE_SIZE))
         .map_err(|_| SmaError::Corrupt("SMA image header claims absurd size".into()))?;
@@ -713,40 +683,33 @@ mod tests {
         assert_eq!(back.def(), sma.def());
     }
 
-    /// A pre-checksum `SMA1` image (as the seed format wrote it) must still
-    /// decode, so existing stores migrate by simply being re-saved.
+    /// A pre-checksum `SMA1` image (the seed format, which nothing writes
+    /// any more) is corrupt like any other stream without the `SMA2`
+    /// magic; recovery answers that by rebuilding from the base table.
     #[test]
-    fn legacy_sma1_images_still_load() {
+    fn legacy_sma1_images_are_corrupt() {
         let t = sample_table();
         let def = SmaDefinition::new("sum", AggFn::Sum, col(2)).group_by(vec![1]);
         let sma = Sma::build(&t, def).unwrap();
-        // Reconstruct the legacy layout: `body_len u32 | "SMA1" | payload`.
+        // The legacy layout: `body_len u32 | "SMA1" | payload`.
         let payload = encode_payload(&sma);
         let mut legacy = Vec::new();
         put_u32(&mut legacy, 4 + payload.len() as u32);
-        legacy.extend_from_slice(MAGIC_V1);
+        legacy.extend_from_slice(b"SMA1");
         legacy.extend_from_slice(&payload);
-        let back = decode_sma_stream(&legacy).unwrap();
-        assert_eq!(back.def(), sma.def());
-        for (key, file) in sma.groups() {
-            for b in 0..sma.n_buckets() {
-                assert_eq!(back.entry(key, b), file.get(b));
-            }
-        }
+        let err = decode_sma_stream(&legacy).unwrap_err();
+        assert!(matches!(err, SmaError::Corrupt(_)), "{err}");
         // And through the page layer, zero-padded like a real store image.
         let mut store = MemStore::new();
-        let pages = legacy.len().div_ceil(PAGE_SIZE);
         let mut page = [0u8; PAGE_SIZE];
-        for (i, chunk) in legacy.chunks(PAGE_SIZE).enumerate() {
+        for chunk in legacy.chunks(PAGE_SIZE) {
             let no = store.allocate().unwrap();
-            assert_eq!(no as usize, i);
             page.fill(0);
             page[..chunk.len()].copy_from_slice(chunk);
             store.write_page(no, &page).unwrap();
         }
-        assert_eq!(store.page_count() as usize, pages);
-        let via_pages = load_sma(&store, 0).unwrap();
-        assert_eq!(via_pages.def(), sma.def());
+        let err = load_sma(&store, 0).unwrap_err();
+        assert!(matches!(err, SmaError::Corrupt(_)), "{err}");
     }
 
     #[test]

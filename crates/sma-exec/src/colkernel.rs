@@ -52,6 +52,13 @@ impl SelectionVector {
     pub fn rows(&self) -> &[usize] {
         &self.rows
     }
+
+    /// Every row of an `n`-row block.
+    pub(crate) fn all(n: usize) -> SelectionVector {
+        SelectionVector {
+            rows: (0..n).collect(),
+        }
+    }
 }
 
 /// Evaluates `pred` over every row of `block`, batch by batch, and

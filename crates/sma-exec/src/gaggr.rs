@@ -1,6 +1,7 @@
 //! Grouping with aggregation — Dayal's GAggr operator (\[4\] in the paper),
 //! implemented as a hash aggregation over any child operator. This is the
-//! plain (SMA-less) baseline `SMA_GAggr` is measured against.
+//! plain (SMA-less) baseline `SMA_GAggr` is measured against, and the
+//! reference implementation the tests compare every plan with.
 
 use std::collections::BTreeMap;
 
@@ -159,6 +160,30 @@ impl GroupState {
             })
             .collect()
     }
+}
+
+/// Finishes every group into a `key ++ aggregates` row, in key order,
+/// dropping groups no tuple reached (SMA entries can name a group whose
+/// count in a bucket is 0). SQL: an aggregate without GROUP BY yields one
+/// row even over empty input — count 0, every other aggregate NULL.
+pub(crate) fn into_rows(
+    groups: BTreeMap<Vec<Value>, GroupState>,
+    group_by: &[usize],
+    specs: &[AggSpec],
+) -> Vec<Tuple> {
+    let mut rows = Vec::with_capacity(groups.len());
+    for (key, state) in groups {
+        if state.hidden_count == 0 {
+            continue;
+        }
+        let mut row = key;
+        row.extend(state.finish(specs));
+        rows.push(row);
+    }
+    if rows.is_empty() && group_by.is_empty() {
+        rows.push(GroupState::new(specs).finish(specs));
+    }
+    rows
 }
 
 /// A direct-indexed group table for all-`Char` group keys of at most two
@@ -443,11 +468,7 @@ impl PhysicalOp for HashGAggr<'_> {
                 .update(&self.specs, &t)?;
         }
         self.child.close();
-        for (key, state) in groups {
-            let mut row = key;
-            row.extend(state.finish(&self.specs));
-            self.results.push(row);
-        }
+        self.results = into_rows(groups, &self.group_by, &self.specs);
         Ok(())
     }
 
@@ -562,6 +583,21 @@ mod tests {
             vec![AggSpec::CountStar],
         );
         assert!(collect(&mut g).unwrap().is_empty());
+        // Without GROUP BY, SQL answers one row: count 0, the rest NULL.
+        let mut g = HashGAggr::new(
+            Box::new(SeqScan::new(&t)),
+            vec![],
+            vec![
+                AggSpec::CountStar,
+                AggSpec::Sum(col(1)),
+                AggSpec::Min(col(1)),
+                AggSpec::Avg(col(2)),
+            ],
+        );
+        assert_eq!(
+            collect(&mut g).unwrap(),
+            vec![vec![Value::Int(0), Value::Null, Value::Null, Value::Null]]
+        );
     }
 
     #[test]

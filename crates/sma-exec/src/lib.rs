@@ -4,13 +4,16 @@
 //! * [`basic`] — `SeqScan`, `Filter`, `Project` (the SMA-less baselines),
 //! * [`colkernel`] — selection-vector batch kernels over columnar buckets,
 //! * [`scan`] — `SmaScan` (Fig. 6),
-//! * [`gaggr`] — Dayal-style grouping/aggregation (`HashGAggr`),
-//! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7),
+//! * [`gaggr`] — Dayal-style grouping/aggregation (`HashGAggr`, the
+//!   reference the SMA paths are tested against),
+//! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7): the one bucket loop every
+//!   aggregate plan runs — skip, answer from SMAs, or scan,
 //! * [`parallel`] — the bucket-parallelism knob and morsel partitioning,
 //! * [`degrade`] — degradation accounting: buckets demoted to base scans
 //!   when SMA entries cannot be trusted, and retries spent underneath,
 //! * [`semijoin`] — semi-joins with SMA input reduction (§4),
-//! * [`planner`] — cost-based plan choice with the Fig. 5 breakeven,
+//! * [`planner`] — cost-based plan choice with the Fig. 5 breakeven: the
+//!   fate of qualifying buckets, over grades computed once per query,
 //! * [`query1`] — end-to-end TPC-D Query 1 runs.
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,7 @@
 //! the two small pieces the operators share:
 //!
 //! * [`Parallelism`] — the knob saying how many worker threads to use
-//!   (default: every available core), and
+//!   (default: every available core, counted once per process), and
 //! * [`morsels`] — a contiguous partition of `0..n_buckets` so each worker
 //!   scans a run of adjacent buckets (preserving sequential page access
 //!   within a worker) and partial results can be merged back **in bucket
@@ -14,6 +14,7 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Degree of intra-query parallelism for bucket loops.
 ///
@@ -35,9 +36,15 @@ impl Parallelism {
     }
 
     /// One thread per available core (falls back to 1 when the runtime
-    /// cannot tell).
+    /// cannot tell). The count is resolved once per process — asking the
+    /// OS reads cgroup files, too slow to repeat per query — so a later
+    /// change of the process's CPU affinity or quota is not seen.
     pub fn available() -> Parallelism {
-        Parallelism(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        static CORES: OnceLock<NonZeroUsize> = OnceLock::new();
+        Parallelism(
+            *CORES
+                .get_or_init(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
+        )
     }
 
     /// Number of worker threads.

@@ -2,33 +2,32 @@
 //!
 //! §2.4 / Fig. 5: the SMA plan beats the full scan until roughly 25 % of
 //! the buckets are ambivalent; past the breakeven the full scan wins
-//! (though the SMA plan's overhead stays under 2 %). The planner estimates
-//! the ambivalent fraction *from the SMAs themselves* — grading is a pure
-//! in-memory pass over SMA entries, so the estimate is exact and costs no
-//! data I/O — then prices each candidate plan with the storage cost model
-//! (sequential vs. random page reads) and picks the cheapest:
+//! (though the SMA plan's overhead stays under 2 %). The planner grades
+//! every bucket *from the SMAs themselves* — a pure in-memory pass over
+//! SMA entries, so the estimate is exact and costs no data I/O — then
+//! prices each candidate plan with the storage cost model (sequential vs.
+//! random page reads) and picks the cheapest.
 //!
-//! 1. `SmaGAggr` — reads the SMA files plus only ambivalent buckets;
-//! 2. `SmaScan` + `HashGAggr` — reads min/max SMAs plus qualifying and
-//!    ambivalent buckets;
-//! 3. plain `SeqScan` + `Filter` + `HashGAggr` — reads everything,
-//!    perfectly sequentially.
+//! Every plan runs the same operator, [`SmaGAggr`]'s bucket loop, fed the
+//! grades planning already computed: disqualified buckets are skipped,
+//! ambivalent buckets are scanned under the filter, and the [`PlanKind`]
+//! only decides the fate of qualifying buckets and what gets graded:
 //!
-//! An optional hard breakeven threshold reproduces the paper's simpler
-//! decision rule.
+//! 1. `SmaGAggr` — answers them from aggregate SMAs; reads the SMA files
+//!    plus only ambivalent buckets;
+//! 2. `SmaScanGAggr` — scans them without the filter; reads min/max SMAs
+//!    plus qualifying and ambivalent buckets;
+//! 3. `FullScan` — grades nothing and scans every bucket under the
+//!    filter, perfectly sequentially.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-
-use sma_core::{Accumulator, BucketPred, Classification, Grade, SmaSet};
-use sma_storage::{CostModel, QueryBudget, Table};
-use sma_types::{RowLayout, Tuple, Value};
+use sma_core::{BucketPred, Classification, Grade, SmaSet};
+use sma_storage::{CostModel, MemRow, QueryBudget, Table};
+use sma_types::Tuple;
 
 use crate::degrade::DegradationReport;
-use crate::gaggr::{AggSpec, DenseGroups, GroupState, HashGAggr};
-use crate::op::{collect, ExecError, PhysicalOp};
-use crate::scan::SmaScan;
-use crate::sma_gaggr::{absorb_groups, SmaGAggr};
+use crate::gaggr::AggSpec;
+use crate::op::{collect, ExecError};
+use crate::sma_gaggr::SmaGAggr;
 
 /// An aggregate query: `select <group_by>, <specs> from R where <pred>
 /// group by <group_by>` (output sorted by the group key).
@@ -47,20 +46,17 @@ pub struct AggregateQuery {
 pub struct PlannerConfig {
     /// The I/O price list used to compare candidate plans.
     pub cost_model: CostModel,
-    /// Optional hard rule on top of the cost comparison: when the
-    /// ambivalent fraction exceeds this, fall back to the full scan
-    /// outright (the paper's Fig. 5 rule with 0.25).
-    pub hard_breakeven: Option<f64>,
 }
 
-/// Which physical strategy the planner chose.
+/// Which physical strategy the planner chose: the fate of qualifying
+/// buckets in the shared bucket loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
-    /// `SmaGAggr`: aggregate + selection SMAs.
+    /// Qualifying buckets answered from aggregate SMAs.
     SmaGAggr,
-    /// `SmaScan` feeding a `HashGAggr`: selection SMAs only.
+    /// Qualifying buckets scanned without the filter: selection SMAs only.
     SmaScanGAggr,
-    /// Plain sequential scan + filter + aggregation.
+    /// Nothing graded: every bucket scanned under the filter.
     FullScan,
 }
 
@@ -86,9 +82,12 @@ pub struct Plan<'a> {
     table: &'a Table,
     smas: Option<&'a SmaSet>,
     query: AggregateQuery,
+    /// The bucket grades planning computed (empty without SMAs); the
+    /// operator reuses them instead of grading again.
+    grades: Vec<Grade>,
     /// Unsealed tuples (a streaming memtable) unioned with the table at
     /// execution time — see [`Plan::with_overlay`].
-    overlay: Vec<Tuple>,
+    overlay: &'a [MemRow],
     /// Cooperative per-query budget — see [`Plan::with_budget`].
     budget: Option<&'a QueryBudget>,
     /// The chosen strategy.
@@ -100,23 +99,20 @@ pub struct Plan<'a> {
 impl<'a> Plan<'a> {
     /// Attaches unsealed tuples to the plan: rows that logically belong to
     /// the relation but have not been flushed into the sealed, SMA-indexed
-    /// table yet. Execution aggregates them separately (the predicate
-    /// applied per tuple, no SMA pruning — there are no SMAs over volatile
-    /// data) and merges the partial groups into the sealed result, which
-    /// is exact because every aggregate here is decomposable: min/max/sum/
-    /// count are associative, and `avg` is rewritten to `sum` + `count(*)`
-    /// and divided after the merge, exactly as §3.3 computes it.
-    pub fn with_overlay(mut self, rows: Vec<Tuple>) -> Plan<'a> {
+    /// table yet. Execution folds them into the same groups after the
+    /// bucket loop, applying the predicate per tuple (no SMAs cover
+    /// volatile data). The rows are borrowed, never copied.
+    pub fn with_overlay(mut self, rows: &'a [MemRow]) -> Plan<'a> {
         self.overlay = rows;
         self
     }
 
     /// Attaches a cooperative [`QueryBudget`]: execution checks it at
-    /// every bucket/page boundary and charges it one unit per data page
-    /// read, so a deadline, a page cap, or an external cancellation cuts
-    /// the query off with [`ExecError::Budget`] instead of letting it run
-    /// to completion. Charges are deterministic (the page counts the
-    /// operators request), so a budget verdict reproduces exactly in a
+    /// every bucket boundary and charges it one unit per data page read,
+    /// so a deadline, a page cap, or an external cancellation cuts the
+    /// query off with [`ExecError::Budget`] instead of letting it run to
+    /// completion. Charges are deterministic (the page counts the
+    /// operator requests), so a budget verdict reproduces exactly in a
     /// single-threaded replay.
     pub fn with_budget(mut self, budget: &'a QueryBudget) -> Plan<'a> {
         self.budget = Some(budget);
@@ -131,7 +127,7 @@ impl<'a> Plan<'a> {
     /// Runs the plan to completion and reports what the resilience layer
     /// had to give up: buckets demoted to base-table scans (quarantined or
     /// inconsistent SMA entries) and transient-I/O retries spent. The
-    /// report is empty on a healthy run and for the SMA-less full scan.
+    /// report is empty on a healthy run.
     pub fn execute_with_report(&self) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
         // Admission checkpoint: a budget that is already expired or
         // cancelled refuses even plans that would touch no data page
@@ -139,156 +135,26 @@ impl<'a> Plan<'a> {
         if let Some(b) = self.budget {
             b.check()?;
         }
-        if self.overlay.is_empty() {
-            return self.run_base(&self.query.specs);
-        }
-        // Rewrite every `avg` to its decomposable base (`sum`) and make
-        // sure a `count(*)` column exists to divide by after the merge.
-        let mut eff: Vec<AggSpec> = self
-            .query
-            .specs
-            .iter()
-            .map(|s| match s {
-                AggSpec::Avg(e) => AggSpec::Sum(e.clone()),
-                other => other.clone(),
-            })
-            .collect();
-        let count_at = self
-            .query
-            .specs
-            .iter()
-            .position(|s| matches!(s, AggSpec::CountStar));
-        if count_at.is_none() {
-            eff.push(AggSpec::CountStar);
-        }
-        let (base_rows, report) = self.run_base(&eff)?;
-        let key_len = self.query.group_by.len();
-        let mut merged: BTreeMap<Vec<Value>, Vec<Value>> = base_rows
-            .into_iter()
-            .map(|mut row| {
-                let aggs = row.split_off(key_len);
-                (row, aggs)
-            })
-            .collect();
-        for (key, state) in self.aggregate_overlay(&eff)? {
-            // `eff` holds no `avg`, so `finish` yields the raw partials.
-            let partial = state.finish(&eff);
-            match merged.entry(key) {
-                Entry::Occupied(mut e) => {
-                    for (i, spec) in eff.iter().enumerate() {
-                        let mut acc = Accumulator::new(spec.base_fn());
-                        acc.merge(&e.get()[i]);
-                        acc.merge(&partial[i]);
-                        e.get_mut()[i] = acc.finish();
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(partial);
-                }
-            }
-        }
-        let count_idx = count_at.unwrap_or(eff.len() - 1);
-        let mut rows = Vec::with_capacity(merged.len());
-        for (key, mut aggs) in merged {
-            let n = match aggs.get(count_idx) {
-                Some(Value::Int(n)) => *n,
-                _ => 0,
-            };
-            if count_at.is_none() {
-                aggs.pop(); // drop the count column the rewrite added
-            }
-            for (i, spec) in self.query.specs.iter().enumerate() {
-                if spec.is_avg() && n > 0 {
-                    aggs[i] = match std::mem::replace(&mut aggs[i], Value::Null) {
-                        Value::Decimal(d) => Value::Decimal(d.div_count(n)),
-                        Value::Int(v) => Value::Int(v / n),
-                        other => other,
-                    };
-                }
-            }
-            let mut row = key;
-            row.extend(aggs);
-            rows.push(row);
-        }
-        Ok((rows, report))
-    }
-
-    /// Groups and aggregates the overlay tuples under `specs` (which must
-    /// be decomposable — no `avg`), applying the query predicate per tuple.
-    fn aggregate_overlay(
-        &self,
-        specs: &[AggSpec],
-    ) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-        for t in &self.overlay {
-            if !self.query.pred.eval_tuple(t) {
-                continue;
-            }
-            let mut key = Vec::with_capacity(self.query.group_by.len());
-            for &g in &self.query.group_by {
-                key.push(t.get(g).cloned().ok_or_else(|| {
-                    ExecError::Plan(format!(
-                        "group column {g} out of range for an overlay tuple"
-                    ))
-                })?);
-            }
-            groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(specs))
-                .update(specs, t)?;
-        }
-        Ok(groups)
-    }
-
-    /// Runs the chosen physical strategy over the sealed table with the
-    /// given aggregate list (the query's own, or the decomposable rewrite
-    /// the overlay path substitutes).
-    fn run_base(&self, specs: &[AggSpec]) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
-        match self.kind {
-            PlanKind::SmaGAggr => {
-                let Some(smas) = self.smas else {
-                    return Err(ExecError::Plan("SMA plan chosen without a SMA set".into()));
-                };
-                let mut op = SmaGAggr::new(
-                    self.table,
-                    self.query.pred.clone(),
-                    self.query.group_by.clone(),
-                    specs.to_vec(),
-                    smas,
-                )?;
-                if let Some(b) = self.budget {
-                    op = op.with_budget(b);
-                }
-                let rows = collect(&mut op)?;
-                Ok((rows, op.counters().degradation))
-            }
+        let q = &self.query;
+        let (pred, group_by, specs) = (q.pred.clone(), q.group_by.clone(), q.specs.clone());
+        let sma_set = || {
+            self.smas
+                .ok_or_else(|| ExecError::Plan("SMA plan chosen without a SMA set".into()))
+        };
+        let mut op = match self.kind {
+            PlanKind::SmaGAggr => SmaGAggr::new(self.table, pred, group_by, specs, sma_set()?)?,
             PlanKind::SmaScanGAggr => {
-                let Some(smas) = self.smas else {
-                    return Err(ExecError::Plan("SMA plan chosen without a SMA set".into()));
-                };
-                // Drive the scan directly so its counters survive the
-                // aggregation; the filtered tuples are buffered, which
-                // leaves the page I/O pattern identical to the pipelined
-                // form (the scan does all its I/O either way).
-                let mut scan = SmaScan::new(self.table, self.query.pred.clone(), smas);
-                if let Some(b) = self.budget {
-                    scan = scan.with_budget(b);
-                }
-                let filtered = collect(&mut scan)?;
-                let report = scan.counters().degradation;
-                let mut op = HashGAggr::new(
-                    Box::new(Buffered::new(filtered)),
-                    self.query.group_by.clone(),
-                    specs.to_vec(),
-                );
-                let rows = collect(&mut op)?;
-                Ok((rows, report))
+                SmaGAggr::scanning(self.table, pred, group_by, specs, Some(sma_set()?))
             }
-            PlanKind::FullScan => {
-                let rows = full_scan_aggregate(self.table, &self.query, specs, self.budget)?;
-                Ok((rows, DegradationReport::default()))
-            }
+            PlanKind::FullScan => SmaGAggr::scanning(self.table, pred, group_by, specs, None),
         }
+        .with_grades(&self.grades)
+        .with_overlay(self.overlay);
+        if let Some(b) = self.budget {
+            op = op.with_budget(b);
+        }
+        let rows = collect(&mut op)?;
+        Ok((rows, op.counters().degradation))
     }
 
     /// EXPLAIN-style description of the choice and its rationale.
@@ -321,115 +187,6 @@ impl<'a> Plan<'a> {
         ));
         out
     }
-}
-
-/// Replays an already-materialized tuple vector through the operator
-/// interface (used by [`Plan::execute_with_report`] to keep a scan's
-/// counters accessible after aggregation consumes its output).
-struct Buffered {
-    rows: Vec<Tuple>,
-    pos: usize,
-}
-
-impl Buffered {
-    fn new(rows: Vec<Tuple>) -> Buffered {
-        Buffered { rows, pos: 0 }
-    }
-}
-
-impl PhysicalOp for Buffered {
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if self.pos < self.rows.len() {
-            let t = std::mem::take(&mut self.rows[self.pos]);
-            self.pos += 1;
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn close(&mut self) {}
-
-    fn describe(&self) -> String {
-        format!("Buffered({} rows)", self.rows.len())
-    }
-}
-
-/// The SMA-less baseline, fused: one pass over the data pages in physical
-/// order, evaluating the predicate and folding aggregate inputs directly
-/// on zero-copy views — no per-tuple materialization anywhere. Pages are
-/// visited in exactly [`crate::basic::SeqScan`]'s order, so the I/O trace
-/// is unchanged, and groups come out of an ordered map (or the flat `Char`
-/// table that folds back into one), so the rows match what
-/// `SeqScan → Filter → HashGAggr` produces.
-fn full_scan_aggregate(
-    table: &Table,
-    query: &AggregateQuery,
-    specs: &[AggSpec],
-    budget: Option<&QueryBudget>,
-) -> Result<Vec<Tuple>, ExecError> {
-    let layout = RowLayout::new(table.schema());
-    let mut dense = DenseGroups::try_new(table.schema(), &query.group_by);
-    let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-    // Bucket-wise so columnar buckets run through the batch kernels;
-    // bucket ranges tile `0..page_count`, and a columnar bucket charges
-    // its whole range at once while a row bucket charges page by page,
-    // so the budget total is exactly one unit per data page either way.
-    for bucket in 0..table.bucket_count() {
-        let range = table.bucket_range(bucket);
-        if let Some(block) = table.columnar_bucket(bucket)? {
-            if let Some(b) = budget {
-                b.charge(range.len() as u64)?;
-            }
-            let sel = crate::colkernel::filter_block(&block, &query.pred);
-            crate::colkernel::aggregate_block(
-                &block,
-                &sel,
-                &query.group_by,
-                specs,
-                &mut groups,
-                &mut dense,
-            )?;
-            continue;
-        }
-        for page in range {
-            if let Some(b) = budget {
-                b.charge(1)?;
-            }
-            table.for_each_on_page::<ExecError, _>(page, |_, image| {
-                let row = layout.view(image)?;
-                if !query.pred.eval_view(&row)? {
-                    return Ok(());
-                }
-                if let Some(d) = &mut dense {
-                    return d.update(specs, &row);
-                }
-                let mut key = Vec::with_capacity(query.group_by.len());
-                for &g in &query.group_by {
-                    key.push(row.get(g)?);
-                }
-                groups
-                    .entry(key)
-                    .or_insert_with(|| GroupState::new(specs))
-                    .update_view(specs, &row)
-            })?;
-        }
-    }
-    if let Some(d) = dense {
-        absorb_groups(&mut groups, d.into_groups());
-    }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, state) in groups {
-        let mut row = key;
-        row.extend(state.finish(specs));
-        rows.push(row);
-    }
-    Ok(rows)
 }
 
 /// Whether `smas` can answer every aggregate of `query`.
@@ -498,7 +255,8 @@ pub fn plan<'a>(
             table,
             smas,
             query,
-            overlay: Vec::new(),
+            grades: Vec::new(),
+            overlay: &[],
             budget: None,
             kind: PlanKind::FullScan,
             estimate: None,
@@ -533,30 +291,23 @@ pub fn plan<'a>(
         sma_gaggr_cost_ms,
         sma_scan_cost_ms,
     };
-    let over_hard_breakeven = cfg
-        .hard_breakeven
-        .is_some_and(|b| estimate.ambivalent_fraction > b);
-    let kind = if over_hard_breakeven {
-        PlanKind::FullScan
-    } else {
-        let mut best = (PlanKind::FullScan, full_scan_cost_ms);
-        if sma_scan_cost_ms < best.1 {
-            best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
+    let mut best = (PlanKind::FullScan, full_scan_cost_ms);
+    if sma_scan_cost_ms < best.1 {
+        best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
+    }
+    if let Some(c) = sma_gaggr_cost_ms {
+        if c < best.1 {
+            best = (PlanKind::SmaGAggr, c);
         }
-        if let Some(c) = sma_gaggr_cost_ms {
-            if c < best.1 {
-                best = (PlanKind::SmaGAggr, c);
-            }
-        }
-        best.0
-    };
+    }
     Plan {
         table,
         smas,
         query,
-        overlay: Vec::new(),
+        grades: grades.grades,
+        overlay: &[],
         budget: None,
-        kind,
+        kind: best.0,
         estimate: Some(estimate),
     }
 }
@@ -564,6 +315,8 @@ pub fn plan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basic::{Filter, SeqScan};
+    use crate::gaggr::HashGAggr;
     use sma_core::{col, AggFn, CmpOp, SmaDefinition};
     use sma_types::{Column, DataType, Decimal, Schema, Value};
     use std::sync::Arc;
@@ -609,6 +362,19 @@ mod tests {
             group_by: vec![1],
             specs: vec![AggSpec::CountStar, AggSpec::Sum(col(2))],
         }
+    }
+
+    /// `plan()`'s grades with its choice overridden to `kind`, so every
+    /// strategy can run over the same table.
+    fn forced<'a>(
+        t: &'a Table,
+        smas: Option<&'a SmaSet>,
+        q: AggregateQuery,
+        kind: PlanKind,
+    ) -> Plan<'a> {
+        let mut p = plan(t, q, smas, &PlannerConfig::default());
+        p.kind = kind;
+        p
     }
 
     #[test]
@@ -673,15 +439,7 @@ mod tests {
                     PlanKind::SmaScanGAggr,
                     PlanKind::FullScan,
                 ] {
-                    let p = Plan {
-                        table: &t,
-                        smas: Some(&set),
-                        query: q.clone(),
-                        overlay: Vec::new(),
-                        budget: None,
-                        kind,
-                        estimate: None,
-                    };
+                    let p = forced(&t, Some(&set), q.clone(), kind);
                     answers.push(p.execute().unwrap());
                 }
                 assert_eq!(answers[0], answers[1], "sorted={sorted} cutoff={cutoff}");
@@ -692,72 +450,72 @@ mod tests {
 
     #[test]
     fn overlay_matches_bulk_load_for_every_plan_kind() {
-        // Sealed table holds rows 0..40; the overlay holds rows 40..60.
-        // Every plan kind over (sealed + overlay) must equal the full
-        // scan over a single 60-row table — including `avg`, which the
-        // overlay path rewrites to sum + count(*).
-        let sealed = make_table(60, true); // template for tuples
-        let all_rows: Vec<Tuple> = {
-            let mut t = Vec::new();
-            for (_, row) in sealed.scan().unwrap() {
-                t.push(row);
+        // The sealed table holds rows 0..split; the overlay holds the
+        // rest (split 0: an empty sealed table plus a memtable). Every
+        // plan kind over (sealed + overlay) must equal the reference
+        // aggregation over a single 60-row table — `avg` included, and
+        // the one SQL row a global aggregate owes even when no tuple
+        // passes (cutoff -1).
+        let whole = make_table(60, true);
+        let all_rows: Vec<MemRow> = whole
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(_, row)| (0, row))
+            .collect();
+        for split in [40, 0] {
+            let mut base = Table::in_memory("t", whole.schema().clone(), 1);
+            for (_, row) in &all_rows[..split] {
+                base.append(row).unwrap();
             }
-            t
-        };
-        let schema = sealed.schema().clone();
-        let mut base = Table::in_memory("t", schema, 1);
-        for row in &all_rows[..40] {
-            base.append(row).unwrap();
-        }
-        // Aggregate SMAs covering every spec below, so the forced
-        // SmaGAggr kind is actually executable.
-        let set = SmaSet::build(
-            &base,
-            vec![
-                SmaDefinition::new("min", AggFn::Min, col(0)),
-                SmaDefinition::new("max", AggFn::Max, col(0)),
-                SmaDefinition::count("count").group_by(vec![1]),
-                SmaDefinition::new("sum_p", AggFn::Sum, col(2)).group_by(vec![1]),
-                SmaDefinition::new("sum_k", AggFn::Sum, col(0)).group_by(vec![1]),
-                SmaDefinition::new("min_k", AggFn::Min, col(0)).group_by(vec![1]),
-            ],
-        )
-        .unwrap();
-        for cutoff in [5i64, 39, 45, 59] {
-            for specs in [
-                vec![AggSpec::CountStar, AggSpec::Sum(col(2))],
-                vec![AggSpec::Avg(col(2)), AggSpec::Min(col(0))],
-                vec![AggSpec::Avg(col(0))],
-            ] {
-                let q = AggregateQuery {
-                    pred: BucketPred::cmp(0, CmpOp::Le, cutoff),
-                    group_by: vec![1],
-                    specs,
-                };
-                let expected = {
-                    let p = plan(&sealed, q.clone(), None, &PlannerConfig::default());
-                    p.execute().unwrap()
-                };
-                for kind in [
-                    PlanKind::SmaGAggr,
-                    PlanKind::SmaScanGAggr,
-                    PlanKind::FullScan,
+            // Aggregate SMAs covering every spec below, so the forced
+            // SmaGAggr kind is actually executable.
+            let set = SmaSet::build(
+                &base,
+                vec![
+                    SmaDefinition::new("min", AggFn::Min, col(0)),
+                    SmaDefinition::new("max", AggFn::Max, col(0)),
+                    SmaDefinition::count("count").group_by(vec![1]),
+                    SmaDefinition::new("sum_p", AggFn::Sum, col(2)).group_by(vec![1]),
+                    SmaDefinition::new("sum_k", AggFn::Sum, col(0)).group_by(vec![1]),
+                    SmaDefinition::new("min_k", AggFn::Min, col(0)).group_by(vec![1]),
+                ],
+            )
+            .unwrap();
+            for cutoff in [-1i64, 5, 39, 45, 59] {
+                for (group_by, specs) in [
+                    (vec![1], vec![AggSpec::CountStar, AggSpec::Sum(col(2))]),
+                    (vec![1], vec![AggSpec::Avg(col(2)), AggSpec::Min(col(0))]),
+                    (vec![1], vec![AggSpec::Avg(col(0))]),
+                    (vec![], vec![AggSpec::CountStar, AggSpec::Avg(col(2))]),
                 ] {
-                    let p = Plan {
-                        table: &base,
-                        smas: Some(&set),
-                        query: q.clone(),
-                        overlay: Vec::new(),
-                        budget: None,
-                        kind,
-                        estimate: None,
+                    let q = AggregateQuery {
+                        pred: BucketPred::cmp(0, CmpOp::Le, cutoff),
+                        group_by,
+                        specs,
+                    };
+                    let expected = collect(&mut HashGAggr::new(
+                        Box::new(Filter::new(Box::new(SeqScan::new(&whole)), q.pred.clone())),
+                        q.group_by.clone(),
+                        q.specs.clone(),
+                    ))
+                    .unwrap();
+                    if cutoff < 0 && q.group_by.is_empty() {
+                        assert_eq!(expected, vec![vec![Value::Int(0), Value::Null]]);
                     }
-                    .with_overlay(all_rows[40..].to_vec());
-                    assert_eq!(
-                        p.execute().unwrap(),
-                        expected,
-                        "kind={kind:?} cutoff={cutoff}"
-                    );
+                    for kind in [
+                        PlanKind::SmaGAggr,
+                        PlanKind::SmaScanGAggr,
+                        PlanKind::FullScan,
+                    ] {
+                        let p = forced(&base, Some(&set), q.clone(), kind)
+                            .with_overlay(&all_rows[split..]);
+                        assert_eq!(
+                            p.execute().unwrap(),
+                            expected,
+                            "kind={kind:?} split={split} cutoff={cutoff} q={q:?}"
+                        );
+                    }
                 }
             }
         }
@@ -765,10 +523,9 @@ mod tests {
 
     #[test]
     fn empty_overlay_is_a_true_noop_for_every_plan_kind() {
-        // `with_overlay(vec![])` must leave the plan exactly as planned —
-        // same kind, same rows, same Avg→Sum/Count rewrite, no merge
-        // layer — so a fully-flushed streaming warehouse is
-        // indistinguishable from a bulk-loaded one.
+        // `with_overlay(&[])` must leave the plan exactly as planned —
+        // same kind, same rows — so a fully-flushed streaming warehouse
+        // is indistinguishable from a bulk-loaded one.
         let t = make_table(60, true);
         let set = full_set(&t);
         let q = AggregateQuery {
@@ -783,8 +540,7 @@ mod tests {
         let baseline = plan(&t, q.clone(), Some(&set), &PlannerConfig::default());
         let kind = baseline.kind;
         let want = baseline.execute().unwrap();
-        let wrapped =
-            plan(&t, q.clone(), Some(&set), &PlannerConfig::default()).with_overlay(Vec::new());
+        let wrapped = plan(&t, q.clone(), Some(&set), &PlannerConfig::default()).with_overlay(&[]);
         assert_eq!(
             wrapped.kind, kind,
             "an empty overlay must not change the plan kind"
@@ -803,14 +559,17 @@ mod tests {
             .execute()
             .unwrap();
         // 'Z' is a group absent from the sealed table.
-        let extra = vec![
-            Value::Int(100),
-            Value::Char(b'Z'),
-            Value::Decimal(Decimal::from_int(7)),
-            Value::Str("x".into()),
-        ];
+        let extra = [(
+            0,
+            vec![
+                Value::Int(100),
+                Value::Char(b'Z'),
+                Value::Decimal(Decimal::from_int(7)),
+                Value::Str("x".into()),
+            ],
+        )];
         let with_new_group = plan(&t, q.clone(), Some(&set), &PlannerConfig::default())
-            .with_overlay(vec![extra.clone()])
+            .with_overlay(&extra)
             .execute()
             .unwrap();
         assert_eq!(with_new_group.len(), baseline.len() + 1);
@@ -819,7 +578,7 @@ mod tests {
         assert_eq!(z[1], Value::Int(1));
         // Filtered-out overlay tuple: identical to baseline.
         let filtered = plan(&t, query(5), Some(&set), &PlannerConfig::default())
-            .with_overlay(vec![extra])
+            .with_overlay(&extra)
             .execute()
             .unwrap();
         let narrow = plan(&t, query(5), Some(&set), &PlannerConfig::default())
@@ -844,16 +603,7 @@ mod tests {
         let converted = t.convert_buckets_from(0).unwrap();
         assert!(!converted.is_empty());
         let budget = QueryBudget::unbounded();
-        let p = Plan {
-            table: &t,
-            smas: None,
-            query: q.clone(),
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .with_budget(&budget);
+        let p = forced(&t, None, q.clone(), PlanKind::FullScan).with_budget(&budget);
         assert_eq!(p.execute().unwrap(), expected);
         assert_eq!(budget.pages_charged(), u64::from(t.page_count()));
         for kind in [
@@ -861,33 +611,9 @@ mod tests {
             PlanKind::SmaScanGAggr,
             PlanKind::FullScan,
         ] {
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: q.clone(),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            };
+            let p = forced(&t, Some(&set), q.clone(), kind);
             assert_eq!(p.execute().unwrap(), expected, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn hard_breakeven_forces_full_scan() {
-        let t = make_table(60, true);
-        let set = full_set(&t);
-        // Cutoff 8 splits bucket {8,9}: exactly one ambivalent bucket.
-        let cfg = PlannerConfig {
-            hard_breakeven: Some(0.0),
-            ..PlannerConfig::default()
-        };
-        let p = plan(&t, query(8), Some(&set), &cfg);
-        assert_eq!(p.kind, PlanKind::FullScan);
-        // Without the hard rule, the cost model picks the SMA plan.
-        let p = plan(&t, query(8), Some(&set), &PlannerConfig::default());
-        assert_eq!(p.kind, PlanKind::SmaGAggr);
     }
 
     #[test]
@@ -938,16 +664,7 @@ mod tests {
             PlanKind::FullScan,
         ] {
             let budget = QueryBudget::unbounded().with_page_cap(0);
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: q.clone(),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&budget);
+            let p = forced(&t, Some(&set), q.clone(), kind).with_budget(&budget);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Pages { .. })),
@@ -968,16 +685,7 @@ mod tests {
             PlanKind::FullScan,
         ] {
             let expired = QueryBudget::unbounded().with_deadline(Duration::ZERO);
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: query(30),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&expired);
+            let p = forced(&t, Some(&set), query(30), kind).with_budget(&expired);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Deadline { .. })),
@@ -986,16 +694,7 @@ mod tests {
 
             let cancelled = QueryBudget::unbounded();
             cancelled.cancel();
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: query(30),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&cancelled);
+            let p = forced(&t, Some(&set), query(30), kind).with_budget(&cancelled);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Cancelled)),
@@ -1010,29 +709,13 @@ mod tests {
         let set = full_set(&t);
         let q = query(30);
         let budget = QueryBudget::unbounded();
-        let with_budget = Plan {
-            table: &t,
-            smas: Some(&set),
-            query: q.clone(),
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .with_budget(&budget)
-        .execute()
-        .unwrap();
-        let bare = Plan {
-            table: &t,
-            smas: Some(&set),
-            query: q,
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .execute()
-        .unwrap();
+        let with_budget = forced(&t, Some(&set), q.clone(), PlanKind::FullScan)
+            .with_budget(&budget)
+            .execute()
+            .unwrap();
+        let bare = forced(&t, Some(&set), q, PlanKind::FullScan)
+            .execute()
+            .unwrap();
         assert_eq!(with_budget, bare);
         // A full scan charges exactly one unit per data page: the same
         // logical-page count IoStats would tally single-threaded.

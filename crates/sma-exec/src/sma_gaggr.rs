@@ -1,23 +1,34 @@
-//! The `SMA_GAggr` operator — Fig. 7 of the paper.
+//! The `SMA_GAggr` operator — Fig. 7 of the paper — and the one bucket
+//! loop every aggregate plan runs.
 //!
-//! Computes grouping + aggregation under a selection predicate using two
-//! kinds of SMAs: *selection SMAs* (min/max, via the grading provider) to
-//! classify buckets, and *aggregate SMAs* to answer qualifying buckets
-//! without touching their pages. Only ambivalent buckets are read and
-//! aggregated tuple-by-tuple. A pipeline breaker: the whole result is
-//! computed in `open` ("within its init function, the result is
-//! computed"), `next` merely streams it.
+//! Selection SMAs (min/max, via the grading provider) classify each
+//! bucket, and the bucket then meets one of three fates:
+//!
+//! * **skip** — a disqualified bucket costs nothing;
+//! * **answer from SMAs** — a qualifying bucket merges its aggregate-SMA
+//!   entries without touching its pages;
+//! * **scan** — an ambivalent bucket is read and aggregated tuple by
+//!   tuple under the filter.
+//!
+//! [`SmaGAggr::scanning`] runs the same loop without aggregate SMAs:
+//! qualifying buckets are then scanned without the filter (`SMA_Scan`
+//! feeding a grouping), and without any SMAs every bucket is scanned with
+//! the filter (the full scan). Tuples not yet sealed into the table
+//! ([`SmaGAggr::with_overlay`]) fold into the same groups as a trailing
+//! pseudo-bucket. A pipeline breaker: the whole result is computed in
+//! `open` ("within its init function, the result is computed"), `next`
+//! merely streams it.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use sma_core::{BucketPred, Grade, Sma, SmaSet};
-use sma_storage::QueryBudget;
+use sma_storage::{MemRow, QueryBudget};
 use sma_types::{RowLayout, Tuple, Value};
 
-use crate::colkernel::{aggregate_block, filter_block};
-use crate::gaggr::{AggSpec, DenseGroups, GroupState};
+use crate::colkernel::{aggregate_block, filter_block, SelectionVector};
+use crate::gaggr::{into_rows, AggSpec, DenseGroups, GroupState};
 use crate::op::{ExecError, PhysicalOp};
 use crate::parallel::{morsels, Parallelism};
 use crate::scan::ScanCounters;
@@ -30,16 +41,32 @@ struct ResolvedSpec<'a> {
     key_positions: Vec<usize>,
 }
 
+/// The aggregate SMAs that answer qualifying buckets.
+struct AggregateSmas<'a> {
+    /// One per query aggregate.
+    resolved: Vec<ResolvedSpec<'a>>,
+    /// The hidden count(*) (group existence + averages).
+    count: ResolvedSpec<'a>,
+}
+
 /// The SMA-driven grouping/aggregation operator.
 pub struct SmaGAggr<'a> {
     table: &'a sma_storage::Table,
     pred: BucketPred,
     group_by: Vec<usize>,
     specs: Vec<AggSpec>,
-    smas: &'a SmaSet,
-    resolved: Vec<ResolvedSpec<'a>>,
-    count_sma: ResolvedSpec<'a>,
-    /// Byte offsets of the row codec, computed once so ambivalent buckets
+    /// Selection SMAs that grade buckets; `None` grades nothing and scans
+    /// every bucket with the filter.
+    smas: Option<&'a SmaSet>,
+    /// Aggregate SMAs answering qualifying buckets; `None` scans those
+    /// buckets without the filter instead.
+    answers: Option<AggregateSmas<'a>>,
+    /// Grades computed before execution, one per bucket; a bucket past
+    /// the end is graded in the loop.
+    grades: &'a [Grade],
+    /// Tuples that belong to the relation but are not in the table yet.
+    overlay: &'a [MemRow],
+    /// Byte offsets of the row codec, computed once so scanned buckets
     /// can be filtered and aggregated on zero-copy views.
     layout: RowLayout,
     results: Vec<Tuple>,
@@ -84,12 +111,68 @@ impl ResolvedSpec<'_> {
     }
 }
 
+impl AggregateSmas<'_> {
+    /// Whether any SMA this operator would draw entries from has `bucket`
+    /// quarantined — if so the entries may be garbage and the bucket must
+    /// be answered from the base table instead.
+    fn quarantined(&self, bucket: u32) -> bool {
+        self.count.sma.is_quarantined(bucket)
+            || self.resolved.iter().any(|r| r.sma.is_quarantined(bucket))
+    }
+
+    /// Merges one qualifying bucket's SMA entries into a *fresh* group map
+    /// so an inconsistency detected mid-merge leaves the caller's state
+    /// untouched and the bucket can be demoted to a base scan instead.
+    fn merge_bucket(
+        &self,
+        bucket: u32,
+        specs: &[AggSpec],
+    ) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
+        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+        // Groups that received a materialized aggregate value this bucket;
+        // each must also be covered by the count SMA, or group existence
+        // (and averages) would be computed from thin air.
+        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
+        for (i, r) in self.resolved.iter().enumerate() {
+            for (key, file) in r.sma.groups() {
+                let Some(v) = file.get(bucket) else { continue };
+                let target = r.project(key);
+                if !v.is_null() {
+                    touched.insert(target.clone());
+                }
+                groups
+                    .entry(target)
+                    .or_insert_with(|| GroupState::new(specs))
+                    .accs[i]
+                    .merge(v);
+            }
+        }
+        for (key, file) in self.count.sma.groups() {
+            let Some(v) = file.get(bucket) else { continue };
+            let n = v.as_int().unwrap_or(0);
+            let target = self.count.project(key);
+            touched.remove(&target);
+            groups
+                .entry(target)
+                .or_insert_with(|| GroupState::new(specs))
+                .hidden_count += n;
+        }
+        if let Some(orphan) = touched.into_iter().next() {
+            return Err(ExecError::InconsistentSma(format!(
+                "bucket {bucket}: aggregate SMA materialized values for group \
+                 {orphan:?} but the count SMA has no entry for that bucket"
+            )));
+        }
+        Ok(groups)
+    }
+}
+
 impl<'a> SmaGAggr<'a> {
     /// Creates the operator (Fig. 7's constructor: `SMA_GAggr(R, pred,
     /// aggregateSpec, groupSpec, selectionSMAs, aggregateSMAs)`; here one
     /// [`SmaSet`] plays both SMA roles). Fails fast with
     /// [`ExecError::MissingSma`] when an aggregate SMA is missing — the
-    /// planner then falls back to a plain scan.
+    /// planner then falls back to [`SmaGAggr::scanning`].
     pub fn new(
         table: &'a sma_storage::Table,
         pred: BucketPred,
@@ -107,24 +190,40 @@ impl<'a> SmaGAggr<'a> {
                 &format!("{spec:?}"),
             )?);
         }
-        // The hidden count(*) (group existence + averages).
-        let count_sma = resolve(smas, sma_core::AggFn::Count, None, &group_by, "count(*)")?;
-        let layout = RowLayout::new(table.schema());
+        let count = resolve(smas, sma_core::AggFn::Count, None, &group_by, "count(*)")?;
         Ok(SmaGAggr {
+            answers: Some(AggregateSmas { resolved, count }),
+            ..SmaGAggr::scanning(table, pred, group_by, specs, Some(smas))
+        })
+    }
+
+    /// The same bucket loop without aggregate SMAs: `smas` (when present)
+    /// only grades, so disqualified buckets are skipped and qualifying
+    /// ones are scanned without evaluating the filter. Without SMAs every
+    /// bucket is scanned with the filter.
+    pub fn scanning(
+        table: &'a sma_storage::Table,
+        pred: BucketPred,
+        group_by: Vec<usize>,
+        specs: Vec<AggSpec>,
+        smas: Option<&'a SmaSet>,
+    ) -> SmaGAggr<'a> {
+        SmaGAggr {
             table,
             pred,
             group_by,
             specs,
             smas,
-            resolved,
-            count_sma,
-            layout,
+            answers: None,
+            grades: &[],
+            overlay: &[],
+            layout: RowLayout::new(table.schema()),
             results: Vec::new(),
             pos: 0,
             counters: ScanCounters::default(),
             parallelism: Parallelism::default(),
             budget: None,
-        })
+        }
     }
 
     /// Sets the number of worker threads `open` uses for the bucket loop
@@ -137,10 +236,28 @@ impl<'a> SmaGAggr<'a> {
 
     /// Attaches a cooperative budget. Every morsel worker checks it at
     /// each bucket boundary and charges it the bucket's page count before
-    /// an ambivalent (or demoted) base-table read; qualifying buckets are
-    /// answered from in-memory SMA entries and charge nothing.
+    /// reading the bucket; buckets answered from in-memory SMA entries
+    /// charge nothing.
     pub fn with_budget(mut self, budget: &'a QueryBudget) -> SmaGAggr<'a> {
         self.budget = Some(budget);
+        self
+    }
+
+    /// Supplies the grades of `pred` over the selection SMAs, computed
+    /// once elsewhere (the planner's classification), so the loop does
+    /// not grade again.
+    pub fn with_grades(mut self, grades: &'a [Grade]) -> SmaGAggr<'a> {
+        self.grades = grades;
+        self
+    }
+
+    /// Adds tuples that logically belong to the relation but have not
+    /// been flushed into the table (a streaming memtable). No SMAs cover
+    /// them, so after the bucket loop each one is filtered and folded
+    /// into the same groups — exact for every aggregate, `avg` included,
+    /// because the division happens once in `finish`.
+    pub fn with_overlay(mut self, rows: &'a [MemRow]) -> SmaGAggr<'a> {
+        self.overlay = rows;
         self
     }
 
@@ -149,66 +266,26 @@ impl<'a> SmaGAggr<'a> {
         self.counters.clone()
     }
 
-    /// Whether any SMA this operator would draw entries from has `bucket`
-    /// quarantined — if so the entries may be garbage and the bucket must
-    /// be answered from the base table instead.
-    fn aggregate_entries_quarantined(&self, bucket: u32) -> bool {
-        self.count_sma.sma.is_quarantined(bucket)
-            || self.resolved.iter().any(|r| r.sma.is_quarantined(bucket))
+    /// `bucket`'s grade: supplied, graded here, or — without selection
+    /// SMAs — ambivalent, so the bucket is scanned under the filter.
+    fn grade(&self, bucket: u32) -> Grade {
+        let Some(smas) = self.smas else {
+            return Grade::Ambivalent;
+        };
+        match self.grades.get(bucket as usize) {
+            Some(&g) => g,
+            None => self.pred.grade(bucket, smas),
+        }
     }
 
-    /// Merges one qualifying bucket's SMA entries into a *fresh* group map
-    /// so an inconsistency detected mid-merge leaves the caller's state
-    /// untouched and the bucket can be demoted to a base scan instead.
-    fn merge_qualifying_bucket(
-        &self,
-        bucket: u32,
-    ) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-        // Groups that received a materialized aggregate value this bucket;
-        // each must also be covered by the count SMA, or group existence
-        // (and averages) would be computed from thin air.
-        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
-        for (i, r) in self.resolved.iter().enumerate() {
-            for (key, file) in r.sma.groups() {
-                let Some(v) = file.get(bucket) else { continue };
-                let target = r.project(key);
-                if !v.is_null() {
-                    touched.insert(target.clone());
-                }
-                groups
-                    .entry(target)
-                    .or_insert_with(|| GroupState::new(&self.specs))
-                    .accs[i]
-                    .merge(v);
-            }
-        }
-        for (key, file) in self.count_sma.sma.groups() {
-            let Some(v) = file.get(bucket) else { continue };
-            let n = v.as_int().unwrap_or(0);
-            let target = self.count_sma.project(key);
-            touched.remove(&target);
-            groups
-                .entry(target)
-                .or_insert_with(|| GroupState::new(&self.specs))
-                .hidden_count += n;
-        }
-        if let Some(orphan) = touched.into_iter().next() {
-            return Err(ExecError::InconsistentSma(format!(
-                "bucket {bucket}: aggregate SMA materialized values for group \
-                 {orphan:?} but the count SMA has no entry for that bucket"
-            )));
-        }
-        Ok(groups)
-    }
-
-    /// Fig. 7's bucket loop over one contiguous morsel: grade each bucket,
-    /// answer qualifying ones from SMA entries, scan ambivalent ones.
-    /// Buckets whose SMA entries cannot be trusted (quarantined) or do not
-    /// add up (inconsistent) are demoted to base-table scans — the base
-    /// table is the ground truth, so the answer stays exact and only the
-    /// fast path is lost. Pure with respect to `self`, so morsels run on
-    /// worker threads.
+    /// Fig. 7's bucket loop over one contiguous morsel: skip disqualified
+    /// buckets, answer qualifying ones from SMA entries (or scan them
+    /// unfiltered without aggregate SMAs), scan ambivalent ones under the
+    /// filter. Buckets whose SMA entries cannot be trusted (quarantined)
+    /// or do not add up (inconsistent) are demoted to filtered scans — the
+    /// base table is the ground truth, so the answer stays exact and only
+    /// the fast path is lost. Pure with respect to `self`, so morsels run
+    /// on worker threads.
     fn process_buckets(
         &self,
         range: Range<u32>,
@@ -224,38 +301,40 @@ impl<'a> SmaGAggr<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            match self.pred.grade(bucket, self.smas) {
+            match self.grade(bucket) {
+                Grade::Disqualifies => counters.disqualified += 1,
                 Grade::Qualifies => {
-                    if self.aggregate_entries_quarantined(bucket) {
-                        counters.ambivalent += 1;
-                        counters.degradation.note_quarantined(bucket);
-                        self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
+                    let Some(answers) = &self.answers else {
+                        counters.qualified += 1;
+                        self.scan_bucket(bucket, false, &mut groups, &mut dense)?;
                         continue;
-                    }
-                    match self.merge_qualifying_bucket(bucket) {
-                        Ok(local) => {
-                            counters.qualified += 1;
-                            absorb_groups(&mut groups, local);
+                    };
+                    if answers.quarantined(bucket) {
+                        counters.degradation.note_quarantined(bucket);
+                    } else {
+                        match answers.merge_bucket(bucket, &self.specs) {
+                            Ok(local) => {
+                                counters.qualified += 1;
+                                absorb_groups(&mut groups, local);
+                                continue;
+                            }
+                            Err(ExecError::InconsistentSma(_)) => {
+                                counters.degradation.note_inconsistent(bucket);
+                            }
+                            Err(e) => return Err(e),
                         }
-                        Err(ExecError::InconsistentSma(_)) => {
-                            counters.ambivalent += 1;
-                            counters.degradation.note_inconsistent(bucket);
-                            self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
-                        }
-                        Err(e) => return Err(e),
                     }
-                }
-                Grade::Disqualifies => {
-                    counters.disqualified += 1;
+                    counters.ambivalent += 1;
+                    self.scan_bucket(bucket, true, &mut groups, &mut dense)?;
                 }
                 Grade::Ambivalent => {
                     counters.ambivalent += 1;
                     // Selection SMAs with a quarantined bucket grade it
                     // Ambivalent; the base scan below is the demotion.
-                    if self.smas.is_bucket_quarantined(bucket) {
+                    if self.smas.is_some_and(|s| s.is_bucket_quarantined(bucket)) {
                         counters.degradation.note_quarantined(bucket);
                     }
-                    self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
+                    self.scan_bucket(bucket, true, &mut groups, &mut dense)?;
                 }
             }
         }
@@ -266,12 +345,13 @@ impl<'a> SmaGAggr<'a> {
     }
 
     /// Reads one bucket straight out of the buffer pool's page frames:
-    /// the predicate and the aggregate inputs are evaluated on zero-copy
-    /// [`sma_types::RowView`]s, so qualifying tuples fold into their group
-    /// without ever being materialized (no image copy, no `Vec<Value>`).
-    fn scan_ambivalent_bucket(
+    /// the predicate (when `filtered`) and the aggregate inputs are
+    /// evaluated on zero-copy [`sma_types::RowView`]s, so passing tuples
+    /// fold into their group without ever being materialized.
+    fn scan_bucket(
         &self,
         bucket: u32,
+        filtered: bool,
         groups: &mut BTreeMap<Vec<Value>, GroupState>,
         dense: &mut Option<DenseGroups>,
     ) -> Result<(), ExecError> {
@@ -283,13 +363,17 @@ impl<'a> SmaGAggr<'a> {
             // arrays and fold only the survivors, touching only the
             // columns the predicate and aggregates reference. Decoding
             // the block reads the same pages the row branch below would.
-            let sel = filter_block(&block, &self.pred);
+            let sel = if filtered {
+                filter_block(&block, &self.pred)
+            } else {
+                SelectionVector::all(block.n_rows())
+            };
             return aggregate_block(&block, &sel, &self.group_by, &self.specs, groups, dense);
         }
         self.table
             .for_each_in_bucket::<ExecError, _>(bucket, |_, image| {
                 let row = self.layout.view(image)?;
-                if !self.pred.eval_view(&row)? {
+                if filtered && !self.pred.eval_view(&row)? {
                     return Ok(());
                 }
                 if let Some(d) = dense {
@@ -305,10 +389,33 @@ impl<'a> SmaGAggr<'a> {
                     .update_view(&self.specs, &row)
             })
     }
+
+    /// The overlay as a trailing pseudo-bucket: no SMA covers it, so every
+    /// tuple is filtered before it folds into its group.
+    fn fold_overlay(&self, groups: &mut BTreeMap<Vec<Value>, GroupState>) -> Result<(), ExecError> {
+        for (_, t) in self.overlay {
+            if !self.pred.eval_tuple(t) {
+                continue;
+            }
+            let mut key = Vec::with_capacity(self.group_by.len());
+            for &g in &self.group_by {
+                key.push(t.get(g).cloned().ok_or_else(|| {
+                    ExecError::Plan(format!(
+                        "group column {g} out of range for an overlay tuple"
+                    ))
+                })?);
+            }
+            groups
+                .entry(key)
+                .or_insert_with(|| GroupState::new(&self.specs))
+                .update(&self.specs, t)?;
+        }
+        Ok(())
+    }
 }
 
 /// Merges a bucket-local (or morsel-local) group map into the combined one.
-pub(crate) fn absorb_groups(
+fn absorb_groups(
     into: &mut BTreeMap<Vec<Value>, GroupState>,
     from: BTreeMap<Vec<Value>, GroupState>,
 ) {
@@ -335,7 +442,7 @@ impl PhysicalOp for SmaGAggr<'_> {
         // are disjoint), so the loop runs as contiguous morsels on worker
         // threads; partials merge back in bucket order, which keeps both
         // the result rows and the counters identical to the serial loop.
-        let (mut counters, groups) = if threads <= 1 {
+        let (mut counters, mut groups) = if threads <= 1 {
             self.process_buckets(0..n_buckets)?
         } else {
             let shared: &SmaGAggr<'_> = &*self;
@@ -367,6 +474,7 @@ impl PhysicalOp for SmaGAggr<'_> {
             }
             (counters, groups)
         };
+        self.fold_overlay(&mut groups)?;
         // Retries are a pool-level tally (morsels share the pool), so the
         // per-execution figure is the delta across the whole bucket loop.
         counters.degradation.retries_spent = self
@@ -377,14 +485,7 @@ impl PhysicalOp for SmaGAggr<'_> {
         self.counters = counters;
         // "Perform post processing for average aggregates" + drop groups
         // with no qualifying tuples.
-        for (key, state) in groups {
-            if state.hidden_count == 0 {
-                continue;
-            }
-            let mut row = key;
-            row.extend(state.finish(&self.specs));
-            self.results.push(row);
-        }
+        self.results = into_rows(groups, &self.group_by, &self.specs);
         Ok(())
     }
 
@@ -480,16 +581,26 @@ mod tests {
         collect(&mut g).unwrap()
     }
 
+    /// The operator in each of its three shapes: qualifying buckets
+    /// answered from SMAs, scanned unfiltered, or nothing graded at all.
+    fn every_fate<'a>(t: &'a Table, smas: &'a SmaSet, pred: &BucketPred) -> Vec<SmaGAggr<'a>> {
+        vec![
+            SmaGAggr::new(t, pred.clone(), vec![1], specs(), smas).unwrap(),
+            SmaGAggr::scanning(t, pred.clone(), vec![1], specs(), Some(smas)),
+            SmaGAggr::scanning(t, pred.clone(), vec![1], specs(), None),
+        ]
+    }
+
     #[test]
     fn matches_baseline_across_cutoffs() {
         let t = make_table(60);
         let smas = full_set(&t);
         for c in [-1i64, 0, 10, 29, 30, 59, 100] {
             let pred = BucketPred::cmp(0, CmpOp::Le, c);
-            let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas).unwrap();
-            let fast = collect(&mut op).unwrap();
-            let slow = baseline(&t, pred);
-            assert_eq!(fast, slow, "cutoff {c}");
+            let slow = baseline(&t, pred.clone());
+            for mut op in every_fate(&t, &smas, &pred) {
+                assert_eq!(collect(&mut op).unwrap(), slow, "cutoff {c}");
+            }
         }
     }
 
@@ -498,7 +609,7 @@ mod tests {
         let t = make_table(60); // 30 buckets
         let smas = full_set(&t);
         let pred = BucketPred::cmp(0, CmpOp::Le, 9i64); // 5 buckets survive
-        let mut op = SmaGAggr::new(&t, pred, vec![1], specs(), &smas).unwrap();
+        let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas).unwrap();
         t.reset_io_stats();
         op.open().unwrap();
         let c = op.counters();
@@ -511,6 +622,32 @@ mod tests {
             0,
             "fully qualifying query answered from SMAs alone"
         );
+        // Without aggregate SMAs the same buckets are read, unfiltered.
+        let mut op = SmaGAggr::scanning(&t, pred, vec![1], specs(), Some(&smas));
+        t.reset_io_stats();
+        op.open().unwrap();
+        assert_eq!(op.counters(), c);
+        assert_eq!(t.io_stats().logical_reads, 5);
+    }
+
+    #[test]
+    fn supplied_grades_replace_the_grading_pass() {
+        let t = make_table(20); // 10 buckets
+        let smas = full_set(&t);
+        let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // every bucket qualifies
+        let graded = sma_core::Classification::classify(&pred, t.bucket_count(), &smas);
+        let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
+            .unwrap()
+            .with_grades(&graded.grades);
+        assert_eq!(collect(&mut op).unwrap(), baseline(&t, pred.clone()));
+        // The operator trusts what it is given: grades claiming every
+        // bucket is disqualified skip them all.
+        let none = vec![Grade::Disqualifies; t.bucket_count() as usize];
+        let mut op = SmaGAggr::new(&t, pred, vec![1], specs(), &smas)
+            .unwrap()
+            .with_grades(&none);
+        assert!(collect(&mut op).unwrap().is_empty());
+        assert_eq!(op.counters().disqualified, 10);
     }
 
     #[test]
@@ -575,9 +712,15 @@ mod tests {
         let t = make_table(20);
         let smas = full_set(&t);
         let pred = BucketPred::cmp(0, CmpOp::Lt, 0i64);
-        let mut op = SmaGAggr::new(&t, pred, vec![1], specs(), &smas).unwrap();
+        let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas).unwrap();
         assert!(collect(&mut op).unwrap().is_empty());
         assert_eq!(op.counters().disqualified, 20 / 2);
+        // Without GROUP BY, SQL still answers one row: count 0, the rest
+        // NULL.
+        let mut op = SmaGAggr::new(&t, pred, vec![], specs(), &smas).unwrap();
+        let mut row = vec![Value::Int(0)];
+        row.resize(specs().len(), Value::Null);
+        assert_eq!(collect(&mut op).unwrap(), vec![row]);
     }
 
     #[test]
@@ -587,18 +730,19 @@ mod tests {
         // Le 8 splits bucket 4: qualifying, disqualified, and ambivalent
         // buckets all present, so every merge path runs.
         let pred = BucketPred::cmp(0, CmpOp::Le, 8i64);
-        let mut serial = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
-            .unwrap()
-            .with_parallelism(Parallelism::serial());
-        let expected = collect(&mut serial).unwrap();
-        let expected_counters = serial.counters();
-        assert!(!expected.is_empty());
-        for threads in [2, 3, 4, 8, 64] {
-            let mut par = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
-                .unwrap()
-                .with_parallelism(Parallelism::new(threads));
-            assert_eq!(collect(&mut par).unwrap(), expected, "{threads} threads");
-            assert_eq!(par.counters(), expected_counters, "{threads} threads");
+        for (fate, serial) in every_fate(&t, &smas, &pred).into_iter().enumerate() {
+            let mut serial = serial.with_parallelism(Parallelism::serial());
+            let expected = collect(&mut serial).unwrap();
+            let expected_counters = serial.counters();
+            assert!(!expected.is_empty());
+            for threads in [2, 3, 4, 8, 64] {
+                let mut par = every_fate(&t, &smas, &pred)
+                    .swap_remove(fate)
+                    .with_parallelism(Parallelism::new(threads));
+                let what = format!("fate {fate}, {threads} threads");
+                assert_eq!(collect(&mut par).unwrap(), expected, "{what}");
+                assert_eq!(par.counters(), expected_counters, "{what}");
+            }
         }
     }
 

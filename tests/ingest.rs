@@ -718,25 +718,44 @@ fn fully_flushed_streaming_plans_identically_to_bulk() {
         bulk.insert("S", t).unwrap();
     }
     let mut sw = StreamingWarehouse::create(&dir, small_warehouse(), 0).unwrap();
+    // Without GROUP BY, SQL answers one row over empty input: count 0,
+    // every other aggregate NULL — an empty table, an empty sealed table
+    // under a memtable none of whose rows pass, and (below) a sealed table
+    // whose every bucket is disqualified.
+    let global = |hi| AggregateQuery {
+        group_by: vec![],
+        ..small_query(hi)
+    };
+    let null_row = vec![vec![Value::Int(0), Value::Null, Value::Null]];
+    assert_eq!(
+        small_warehouse().query("S", global(0)).unwrap().rows,
+        null_row
+    );
+    assert_eq!(sw.query("S", global(0)).unwrap().rows, null_row);
     for t in &all {
         sw.insert("S", t).unwrap();
     }
+    assert_eq!(sw.query("S", global(-1)).unwrap().rows, null_row);
+    assert_eq!(bulk.query("S", global(-1)).unwrap().rows, null_row);
     sw.flush().unwrap();
     assert_eq!(sw.buffered(), 0);
     for hi in [i64::MIN, 7, 19, i64::MAX] {
-        let want = bulk.query("S", small_query(hi)).unwrap();
-        let got = sw.query("S", small_query(hi)).unwrap();
-        assert_eq!(
-            got.plan_kind, want.plan_kind,
-            "hi={hi}: an empty overlay must not change the plan"
-        );
-        assert_eq!(got.rows, want.rows, "hi={hi}");
-        assert_eq!(
-            format!("{}", got.degradation),
-            format!("{}", want.degradation),
-            "hi={hi}"
-        );
+        for query in [small_query(hi), global(hi)] {
+            let want = bulk.query("S", query.clone()).unwrap();
+            let got = sw.query("S", query).unwrap();
+            assert_eq!(
+                got.plan_kind, want.plan_kind,
+                "hi={hi}: an empty overlay must not change the plan"
+            );
+            assert_eq!(got.rows, want.rows, "hi={hi}");
+            assert_eq!(
+                format!("{}", got.degradation),
+                format!("{}", want.degradation),
+                "hi={hi}"
+            );
+        }
     }
+    assert_eq!(sw.query("S", global(i64::MIN)).unwrap().rows, null_row);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

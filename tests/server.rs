@@ -116,6 +116,13 @@ fn round_trip_ddl_insert_query_shutdown() {
         .unwrap();
     assert_eq!(r.status, Status::Ok, "{}", r.info);
 
+    // SQL: an aggregate without GROUP BY answers one row over empty
+    // input — count 0, every other aggregate NULL. Here: an empty table.
+    let null_row = vec![vec!["0".to_string(), "NULL".to_string()]];
+    let r = c.request("select count(*), sum(X) from S").unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    assert_eq!(r.rows, null_row);
+
     for i in 0..30i64 {
         let stmt = format!(
             "insert into S values ('{}', {})",
@@ -143,6 +150,18 @@ fn round_trip_ddl_insert_query_shutdown() {
     let r = c.request("select min(X), max(X) from S").unwrap();
     assert_eq!(r.status, Status::Ok);
     assert_eq!(r.rows, vec![vec!["0".to_string(), "29".to_string()]]);
+
+    // The same SQL row when every row sits in the memtable over an empty
+    // sealed table and none passes, and again once the rows are sealed
+    // and every bucket is disqualified.
+    let none_pass = "select count(*), min(X) from S where X > 100";
+    let r = c.request(none_pass).unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    assert_eq!(r.rows, null_row);
+    assert_eq!(c.request("flush").unwrap().status, Status::Ok);
+    let r = c.request(none_pass).unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    assert_eq!(r.rows, null_row);
 
     // Unknown relations and parse errors are structured, not hangs.
     let r = c.request("select count(*) from NOPE").unwrap();
