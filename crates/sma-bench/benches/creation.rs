@@ -8,8 +8,9 @@ use sma_bench::harness::Criterion;
 use sma_bench::{criterion_group, criterion_main};
 
 use sma_bench::bench_table;
-use sma_core::{build_many, build_many_parallel, Sma, SmaSet};
+use sma_core::{build_many, Sma, SmaSet};
 use sma_cube::{page_sized_order, BPlusTree};
+use sma_storage::Parallelism;
 use sma_tpcd::{schema::lineitem as li, Clustering};
 
 fn bench_creation(c: &mut Criterion) {
@@ -24,10 +25,10 @@ fn bench_creation(c: &mut Criterion) {
         });
     }
     group.bench_function("all_8_shared_scan", |b| {
-        b.iter(|| build_many(&table, defs.clone()).expect("build"))
+        b.iter(|| build_many(&table, defs.clone(), Parallelism::serial()).expect("build"))
     });
     group.bench_function("all_8_parallel_x4", |b| {
-        b.iter(|| build_many_parallel(&table, defs.clone(), 4).expect("build"))
+        b.iter(|| build_many(&table, defs.clone(), Parallelism::new(4)).expect("build"))
     });
 
     // Comparator: B+ tree on shipdate (paper: 230 MB, "far beyond" 15 min).

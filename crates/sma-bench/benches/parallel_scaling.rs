@@ -1,6 +1,6 @@
 //! E8 — thread scaling of the bucket-parallel paths.
 //!
-//! Measures SMA bulkload (`build_many_parallel`) and the bucket-parallel
+//! Measures SMA bulkload (`build_many`) and the bucket-parallel
 //! `SmaGAggr` at 1/2/4/8 worker threads over diagonal-clustered LINEITEM.
 //! Results are recorded in `EXPERIMENTS.md`; on a single-core host the
 //! curve is flat (threads only add scheduling overhead), on an N-core
@@ -9,7 +9,7 @@
 use sma_bench::harness::{BenchmarkId, Criterion};
 use sma_bench::{bench_table, criterion_group, criterion_main};
 use sma_core::col;
-use sma_core::{build_many_parallel, BucketPred, CmpOp, SmaSet};
+use sma_core::{build_many, BucketPred, CmpOp, SmaSet};
 use sma_exec::{collect, cutoff, AggSpec, Parallelism, SmaGAggr};
 use sma_tpcd::{schema::lineitem as li, Clustering};
 use sma_types::Value;
@@ -33,7 +33,9 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             BenchmarkId::new("bulkload", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| build_many_parallel(&table, defs.clone(), threads).expect("build"))
+                b.iter(|| {
+                    build_many(&table, defs.clone(), Parallelism::new(threads)).expect("build")
+                })
             },
         );
         group.bench_with_input(

@@ -369,7 +369,8 @@ fn e8_thread_scaling() {
     let mut base: Option<(f64, f64)> = None;
     for threads in [1usize, 2, 4, 8] {
         let build_s = time(&mut || {
-            sma_core::build_many_parallel(&table, defs.clone(), threads).expect("build");
+            sma_core::build_many(&table, defs.clone(), sma_exec::Parallelism::new(threads))
+                .expect("build");
         });
         let gaggr_s = time(&mut || {
             let mut op = sma_exec::SmaGAggr::new(

@@ -78,5 +78,5 @@ pub use persist::{
 };
 pub use projection::ProjectionIndex;
 pub use set::{merge_bucket_into_group, SmaSet};
-pub use sma::{block_bucket_accs, build_many, build_many_parallel, GroupKey, Sma, SmaError};
+pub use sma::{build_many, GroupKey, Sma, SmaError};
 pub use validate::{check_set, check_sma, debug_check_sma, Violation};

@@ -7,14 +7,14 @@
 //! reflect the grouping of the query or a finer grouping"), and carries
 //! maintenance fan-out to every member.
 
-use sma_storage::{BucketNo, Table};
+use sma_storage::{BucketNo, Parallelism, Table};
 use sma_types::{Tuple, Value};
 
 use crate::agg::{Accumulator, AggFn};
 use crate::def::SmaDefinition;
 use crate::expr::{col, dec_lit, ScalarExpr};
 use crate::grade::StatsProvider;
-use crate::sma::{build_many, build_many_parallel, GroupKey, Sma, SmaError};
+use crate::sma::{build_many, GroupKey, Sma, SmaError};
 
 /// A collection of SMAs over one table.
 #[derive(Debug, Clone, Default)]
@@ -23,21 +23,11 @@ pub struct SmaSet {
 }
 
 impl SmaSet {
-    /// Builds all `defs` over `table` in one shared scan.
+    /// Builds all `defs` over `table` in one shared pass (see
+    /// [`build_many`]) at the default parallelism.
     pub fn build(table: &Table, defs: Vec<SmaDefinition>) -> Result<SmaSet, SmaError> {
         Ok(SmaSet {
-            smas: build_many(table, defs)?,
-        })
-    }
-
-    /// Builds all `defs` with `threads` parallel workers.
-    pub fn build_parallel(
-        table: &Table,
-        defs: Vec<SmaDefinition>,
-        threads: usize,
-    ) -> Result<SmaSet, SmaError> {
-        Ok(SmaSet {
-            smas: build_many_parallel(table, defs, threads)?,
+            smas: build_many(table, defs, Parallelism::default())?,
         })
     }
 

@@ -14,8 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sma_storage::{BucketNo, Table, TableError};
-use sma_types::{ColumnarBucket, Tuple, Value};
+use sma_storage::{map_morsels, BucketNo, Parallelism, Table, TableError};
+use sma_types::{ColumnarBucket, RowLayout, Tuple, Value};
 
 use crate::agg::{Accumulator, AggFn};
 use crate::def::{DefError, SmaDefinition};
@@ -113,9 +113,10 @@ pub struct Sma {
 }
 
 impl Sma {
-    /// Bulkloads `def` over `table` with a single sequential scan.
+    /// Bulkloads `def` over `table` (see [`build_many`]) at the default
+    /// parallelism.
     pub fn build(table: &Table, def: SmaDefinition) -> Result<Sma, SmaError> {
-        let mut smas = build_many(table, vec![def])?;
+        let mut smas = build_many(table, vec![def], Parallelism::default())?;
         let sma = smas.pop().ok_or_else(|| {
             SmaError::Corrupt("build_many returned no SMA for the single definition".into())
         })?;
@@ -260,6 +261,57 @@ impl Sma {
         }
     }
 
+    /// A SMA over no buckets yet.
+    fn empty(def: SmaDefinition, entry_bytes: usize) -> Sma {
+        Sma {
+            def,
+            entry_bytes,
+            n_buckets: 0,
+            groups: BTreeMap::new(),
+            null_seen: Vec::new(),
+            stale: Vec::new(),
+            quarantined: Vec::new(),
+        }
+    }
+
+    /// Writes one bucket's summary: each summarized group's entry and the
+    /// bucket's null flag. Entries of groups the summary lacks are left
+    /// alone — the identity in a fresh build or after a reset.
+    fn install_bucket(&mut self, bucket: BucketNo, (accs, null_seen): BucketSummary) {
+        self.ensure_bucket(bucket);
+        self.null_seen[bucket as usize] = null_seen;
+        for (key, acc) in accs {
+            self.ensure_group(&key);
+            if let Some(file) = self.groups.get_mut(&key) {
+                file.set(bucket, acc.finish());
+            }
+        }
+    }
+
+    /// Appends `next`, built over the buckets that follow this SMA's, so
+    /// the result covers both ranges exactly as one build would.
+    fn append(&mut self, next: Sma) {
+        let n = next.n_buckets;
+        let fill = self.default_entry();
+        for (key, file) in next.groups {
+            self.ensure_group(&key);
+            if let Some(mine) = self.groups.get_mut(&key) {
+                for v in file.entries() {
+                    mine.push(v.clone());
+                }
+            }
+        }
+        for file in self.groups.values_mut() {
+            while file.len() < self.n_buckets + n {
+                file.push(fill.clone());
+            }
+        }
+        self.null_seen.extend(next.null_seen);
+        self.stale.extend(next.stale);
+        self.quarantined.extend(next.quarantined);
+        self.n_buckets += n;
+    }
+
     /// Maintains the SMA for a tuple inserted into `bucket`. Exact for all
     /// aggregates. O(1) — the paper's cheap-maintenance property.
     pub fn note_insert(&mut self, bucket: BucketNo, tuple: &Tuple) -> Result<(), SmaError> {
@@ -329,20 +381,15 @@ impl Sma {
     /// page access" of §2.1.
     pub fn refresh_bucket(&mut self, table: &Table, bucket: BucketNo) -> Result<(), SmaError> {
         self.ensure_bucket(bucket);
-        // Reset every known group's entry, then re-accumulate.
+        // Reset every known group's entry, then install a fresh summary.
         let def_entry = self.default_entry();
         for file in self.groups.values_mut() {
             file.set(bucket, def_entry.clone());
         }
-        self.null_seen[bucket as usize] = false;
-        if let Some(block) = table.columnar_bucket(bucket)? {
-            // Columnwise: only the referenced columns are decoded.
-            fill_bucket_from_block(self, bucket, &block)?;
-        } else {
-            let rows = table.scan_bucket(bucket)?;
-            for (_, tuple) in &rows {
-                self.note_insert(bucket, tuple)?;
-            }
+        let layout = RowLayout::new(table.schema());
+        let summary = summarize_bucket(table, &layout, std::slice::from_ref(&self.def), bucket)?;
+        for s in summary {
+            self.install_bucket(bucket, s);
         }
         self.stale[bucket as usize] = false;
         self.quarantined[bucket as usize] = false;
@@ -368,202 +415,116 @@ fn default_entry(agg: AggFn) -> Value {
     }
 }
 
-/// Bulkloads several SMA definitions over `table` in **one** sequential
-/// scan (the paper builds all eight Query 1 SMAs in under 15 minutes; a
-/// shared scan is the obvious engineering of that).
-pub fn build_many(table: &Table, defs: Vec<SmaDefinition>) -> Result<Vec<Sma>, SmaError> {
-    let schema = table.schema();
-    let mut smas: Vec<Sma> = Vec::with_capacity(defs.len());
-    for def in defs {
-        let entry_bytes = def.entry_bytes(schema)?;
-        smas.push(Sma {
-            def,
-            entry_bytes,
-            n_buckets: 0,
-            groups: BTreeMap::new(),
-            null_seen: Vec::new(),
-            stale: Vec::new(),
-            quarantined: Vec::new(),
-        });
-    }
-    let n_buckets = table.bucket_count();
-    let mut rows = Vec::new();
-    for bucket in 0..n_buckets {
-        if let Some(block) = table.columnar_bucket(bucket)? {
-            // Columnwise: accumulate straight off the column arrays.
-            for sma in &mut smas {
-                fill_bucket_from_block(sma, bucket, &block)?;
-            }
-            continue;
-        }
-        rows.clear();
-        for page in table.bucket_range(bucket) {
-            table.scan_page_into(page, &mut rows)?;
-        }
-        for sma in &mut smas {
-            fill_bucket_from_rows(sma, bucket, rows.iter().map(|(_, t)| t))?;
-        }
-        rows.clear();
-    }
-    Ok(smas)
-}
+/// One bucket's summary under one definition: the accumulator of every
+/// group present in the bucket, and whether a `Null` input was seen
+/// (tracked for min/max only — grading soundness needs it).
+type BucketSummary = (BTreeMap<GroupKey, Accumulator>, bool);
 
-/// Bulkloads several SMA definitions with `threads` worker threads, each
-/// scanning a contiguous bucket range. Per-bucket summaries are
-/// independent (§2.4: "its computation is independent of other buckets"),
-/// so the partial results stitch together without coordination.
-pub fn build_many_parallel(
+/// Bulkloads several SMA definitions over `table` in **one** pass (the
+/// paper builds all eight Query 1 SMAs in under 15 minutes; a shared scan
+/// is the obvious engineering of that). Per-bucket summaries are
+/// independent (§2.4: "its computation is independent of other
+/// buckets"), so the buckets run as morsels under `parallelism` and the
+/// per-morsel SMAs concatenate in bucket order — the result is identical
+/// at any worker count.
+pub fn build_many(
     table: &Table,
     defs: Vec<SmaDefinition>,
-    threads: usize,
+    parallelism: Parallelism,
 ) -> Result<Vec<Sma>, SmaError> {
-    let threads = threads.max(1);
-    let n_buckets = table.bucket_count();
-    if threads == 1 || n_buckets < threads as u32 * 4 {
-        return build_many(table, defs);
-    }
     let schema = table.schema();
-    for def in &defs {
-        def.entry_bytes(schema)?;
-    }
-    let chunk = n_buckets.div_ceil(threads as u32);
-    // Each worker produces, per definition, a sparse map
-    // group -> (bucket, value) pairs plus null flags for its range.
-    type Partial = Vec<(BTreeMap<GroupKey, Vec<(BucketNo, Value)>>, Vec<bool>)>;
-    let results: Vec<Result<(u32, Partial), SmaError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads as u32 {
-            let defs = &defs;
-            let start = (t * chunk).min(n_buckets);
-            let end = ((t + 1) * chunk).min(n_buckets);
-            handles.push(scope.spawn(move || -> Result<(u32, Partial), SmaError> {
-                let mut partial: Partial = defs
-                    .iter()
-                    .map(|_| (BTreeMap::new(), vec![false; (end - start) as usize]))
-                    .collect();
-                let mut rows = Vec::new();
-                for bucket in start..end {
-                    if let Some(block) = table.columnar_bucket(bucket)? {
-                        // Columnwise twin of the row loop below.
-                        for (def, (groups, nulls)) in defs.iter().zip(&mut partial) {
-                            let (accs, null_seen) = block_bucket_accs(def, &block)?;
-                            if null_seen {
-                                nulls[(bucket - start) as usize] = true;
-                            }
-                            for (key, acc) in accs {
-                                groups.entry(key).or_default().push((bucket, acc.finish()));
-                            }
-                        }
-                        continue;
-                    }
-                    rows.clear();
-                    for page in table.bucket_range(bucket) {
-                        table.scan_page_into(page, &mut rows)?;
-                    }
-                    for (def, (groups, nulls)) in defs.iter().zip(&mut partial) {
-                        let mut accs: BTreeMap<GroupKey, Accumulator> = BTreeMap::new();
-                        for (_, tuple) in &rows {
-                            let v = def.input_value(tuple)?;
-                            if v.is_null() && matches!(def.agg, AggFn::Min | AggFn::Max) {
-                                nulls[(bucket - start) as usize] = true;
-                            }
-                            accs.entry(def.group_key(tuple))
-                                .or_insert_with(|| Accumulator::new(def.agg))
-                                .update(&v);
-                        }
-                        for (key, acc) in accs {
-                            groups.entry(key).or_default().push((bucket, acc.finish()));
-                        }
-                    }
-                }
-                Ok((start, partial))
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                Err(_) => Err(SmaError::Corrupt(
-                    "parallel SMA build worker panicked".into(),
-                )),
-            })
-            .collect()
-    });
-
-    // Stitch the partials, in bucket order.
-    let mut smas: Vec<Sma> = defs
+    let entry_bytes = defs
         .iter()
-        .map(|def| {
-            Ok(Sma {
-                entry_bytes: def.entry_bytes(schema)?,
-                def: def.clone(),
-                n_buckets,
-                groups: BTreeMap::new(),
-                null_seen: vec![false; n_buckets as usize],
-                stale: vec![false; n_buckets as usize],
-                quarantined: vec![false; n_buckets as usize],
-            })
-        })
-        .collect::<Result<_, SmaError>>()?;
-    let mut ordered: Vec<(u32, Partial)> = results.into_iter().collect::<Result<_, _>>()?;
-    ordered.sort_by_key(|(start, _)| *start);
-    for (start, partial) in ordered {
-        for (sma, (groups, nulls)) in smas.iter_mut().zip(partial) {
-            for (offset, flag) in nulls.iter().enumerate() {
-                if *flag {
-                    sma.null_seen[start as usize + offset] = true;
+        .map(|def| def.entry_bytes(schema))
+        .collect::<Result<Vec<_>, _>>()?;
+    let empty: Vec<Sma> = defs
+        .iter()
+        .zip(entry_bytes)
+        .map(|(def, bytes)| Sma::empty(def.clone(), bytes))
+        .collect();
+    let layout = RowLayout::new(schema);
+    let parts = map_morsels(
+        table.bucket_count(),
+        parallelism,
+        |range| {
+            let start = range.start;
+            let mut smas = empty.clone();
+            for bucket in range {
+                let summaries = summarize_bucket(table, &layout, &defs, bucket)?;
+                for (sma, summary) in smas.iter_mut().zip(summaries) {
+                    sma.install_bucket(bucket - start, summary);
                 }
             }
-            for (key, entries) in groups {
-                sma.ensure_group(&key);
-                // `ensure_group` just inserted the file, so this always
-                // takes the Some branch.
-                if let Some(file) = sma.groups.get_mut(&key) {
-                    for (bucket, value) in entries {
-                        file.set(bucket, value);
-                    }
-                }
-            }
-        }
-    }
-    // Align: every group file spans all buckets.
-    for sma in &mut smas {
-        let def_entry = default_entry(sma.def.agg);
-        for file in sma.groups.values_mut() {
-            while file.len() < n_buckets {
-                file.push(def_entry.clone());
-            }
+            Ok(smas)
+        },
+        || SmaError::Corrupt("SMA build worker panicked".into()),
+    )?;
+    let mut parts = parts.into_iter();
+    let mut smas = parts.next().unwrap_or(empty);
+    for part in parts {
+        for (sma, next) in smas.iter_mut().zip(part) {
+            sma.append(next);
         }
     }
     Ok(smas)
 }
 
-fn fill_bucket_from_rows<'a>(
-    sma: &mut Sma,
+/// Summarizes `bucket` under every definition in one read of its pages.
+/// Row buckets are read as zero-copy views straight out of the page
+/// frames (no tuple is materialized); columnar buckets accumulate off the
+/// column arrays. Either way every input flows through
+/// [`Accumulator::update`] in row order, so the layout is invisible in
+/// the result.
+fn summarize_bucket(
+    table: &Table,
+    layout: &RowLayout,
+    defs: &[SmaDefinition],
     bucket: BucketNo,
-    rows: impl Iterator<Item = &'a Tuple>,
-) -> Result<(), SmaError> {
-    sma.ensure_bucket(bucket);
-    for tuple in rows {
-        sma.note_insert(bucket, tuple)?;
+) -> Result<Vec<BucketSummary>, SmaError> {
+    if let Some(block) = table.columnar_bucket(bucket)? {
+        return defs
+            .iter()
+            .map(|def| block_bucket_accs(def, &block))
+            .collect();
     }
-    Ok(())
+    let mut out: Vec<BucketSummary> = defs.iter().map(|_| (BTreeMap::new(), false)).collect();
+    let mut key: GroupKey = Vec::new();
+    table.for_each_in_bucket::<SmaError, _>(bucket, |_, image| {
+        let row = layout.view(image).map_err(TableError::from)?;
+        for (def, (accs, null_seen)) in defs.iter().zip(&mut out) {
+            let v = match &def.input {
+                Some(expr) => expr.eval_view(&row)?,
+                None => Value::Int(1),
+            };
+            if v.is_null() && matches!(def.agg, AggFn::Min | AggFn::Max) {
+                *null_seen = true;
+            }
+            key.clear();
+            for &g in &def.group_by {
+                key.push(row.get(g).map_err(TableError::from)?);
+            }
+            match accs.get_mut(&key) {
+                Some(acc) => acc.update(&v),
+                None => {
+                    let mut acc = Accumulator::new(def.agg);
+                    acc.update(&v);
+                    accs.insert(key.clone(), acc);
+                }
+            }
+        }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
-/// Per-bucket, per-group accumulation over a columnar block — the
-/// columnwise twin of the `note_insert` loop. A bare-column input touches
-/// only that column's array (never materializing tuples); expression
-/// inputs fetch referenced columns on demand via
-/// [`ScalarExpr::eval_fetch`]. Value semantics are identical to the row
-/// path by construction: every input still flows through
-/// [`Accumulator::update`] in row order. Returns the accumulators plus
-/// whether a `Null` input was seen (tracked for min/max only, matching
-/// `note_insert`).
-pub fn block_bucket_accs(
+/// One definition's summary of a columnar block — the columnwise twin of
+/// [`summarize_bucket`]'s row loop. A bare-column input touches only that
+/// column's array (never materializing tuples); expression inputs fetch
+/// referenced columns on demand via [`ScalarExpr::eval_fetch`].
+fn block_bucket_accs(
     def: &SmaDefinition,
     block: &ColumnarBucket,
-) -> Result<(BTreeMap<GroupKey, Accumulator>, bool), SmaError> {
+) -> Result<BucketSummary, SmaError> {
     use crate::expr::ScalarExpr;
     let n = block.n_rows();
     let minmax = matches!(def.agg, AggFn::Min | AggFn::Max);
@@ -632,40 +593,6 @@ pub fn block_bucket_accs(
     Ok((accs, null_seen))
 }
 
-/// Folds a columnar block's accumulators into `sma`'s files for `bucket`,
-/// merging with whatever entry is already there — the block-wise
-/// equivalent of `fill_bucket_from_rows` (build) and the re-accumulation
-/// loop in `refresh_bucket` (heal, entries pre-reset to the identity).
-fn fill_bucket_from_block(
-    sma: &mut Sma,
-    bucket: BucketNo,
-    block: &ColumnarBucket,
-) -> Result<(), SmaError> {
-    sma.ensure_bucket(bucket);
-    let (accs, null_seen) = block_bucket_accs(&sma.def, block)?;
-    if null_seen {
-        sma.null_seen[bucket as usize] = true;
-    }
-    for (key, acc) in accs {
-        sma.ensure_group(&key);
-        let Some(file) = sma.groups.get_mut(&key) else {
-            // `ensure_group` above makes this unreachable; report anyway.
-            return Err(SmaError::Def(DefError(format!(
-                "fill into unknown group {key:?}"
-            ))));
-        };
-        // Mirror `merge_entry_then_update`: existing entry first, then the
-        // block's aggregate (identity entries merge as no-ops).
-        let mut merged = Accumulator::new(sma.def.agg);
-        if let Some(e) = file.get(bucket) {
-            merged.merge(e);
-        }
-        merged.merge(acc.value());
-        file.set(bucket, merged.finish());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,9 +609,13 @@ mod tests {
     #[test]
     fn out_of_range_bucket_is_untrusted() {
         let t = fig1_table();
-        let sma = build_many(&t, vec![SmaDefinition::new("min", AggFn::Min, col(0))])
-            .unwrap()
-            .remove(0);
+        let sma = build_many(
+            &t,
+            vec![SmaDefinition::new("min", AggFn::Min, col(0))],
+            Parallelism::serial(),
+        )
+        .unwrap()
+        .remove(0);
         let beyond = t.bucket_count() + 5;
         assert!(sma.saw_null(beyond), "unknown bucket cannot be null-free");
         assert!(
@@ -970,7 +901,7 @@ mod tests {
             SmaDefinition::new("max", AggFn::Max, col(0)),
             SmaDefinition::count("count").group_by(vec![1]),
         ];
-        let together = build_many(&t, defs.clone()).unwrap();
+        let together = build_many(&t, defs.clone(), Parallelism::serial()).unwrap();
         for (def, built) in defs.into_iter().zip(&together) {
             let alone = Sma::build(&t, def).unwrap();
             assert_eq!(alone.groups, built.groups);
@@ -1011,22 +942,20 @@ mod tests {
             SmaDefinition::new("sum", AggFn::Sum, col(0).mul(crate::expr::lit(2i64))),
             SmaDefinition::count("count").group_by(vec![1]),
         ];
-        let before = build_many(&t, defs.clone()).unwrap();
+        let before = build_many(&t, defs.clone(), Parallelism::serial()).unwrap();
         let converted = t.convert_buckets_from(0).unwrap();
         assert!(!converted.is_empty(), "conversion must do something");
-        let after = build_many(&t, defs.clone()).unwrap();
-        let after_par = build_many_parallel(&t, defs, 4).unwrap();
-        for (b, a) in before.iter().zip(&after) {
-            assert_eq!(b.groups, a.groups);
-            assert_eq!(b.null_seen, a.null_seen);
-            assert_eq!(b.n_buckets, a.n_buckets);
-        }
-        for (b, a) in before.iter().zip(&after_par) {
-            assert_eq!(b.groups, a.groups);
-            assert_eq!(b.null_seen, a.null_seen);
+        for threads in [1, 4, 16] {
+            let after = build_many(&t, defs.clone(), Parallelism::new(threads)).unwrap();
+            for (b, a) in before.iter().zip(&after) {
+                assert_eq!(b.groups, a.groups, "{threads} threads");
+                assert_eq!(b.null_seen, a.null_seen, "{threads} threads");
+                assert_eq!(b.n_buckets, a.n_buckets, "{threads} threads");
+            }
         }
         // The heal path re-reads a columnar bucket columnwise and must
         // land on the same entries.
+        let after = build_many(&t, defs, Parallelism::serial()).unwrap();
         let mut healed = after.into_iter().next().unwrap();
         let target = converted[0];
         healed.quarantine_bucket(target);
@@ -1060,8 +989,8 @@ mod tests {
             SmaDefinition::new("sum", AggFn::Sum, col(0)).group_by(vec![1]),
             SmaDefinition::count("count").group_by(vec![1]),
         ];
-        let serial = build_many(&t, defs.clone()).unwrap();
-        let parallel = build_many_parallel(&t, defs, 4).unwrap();
+        let serial = build_many(&t, defs.clone(), Parallelism::serial()).unwrap();
+        let parallel = build_many(&t, defs, Parallelism::new(4)).unwrap();
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.groups, p.groups);
             assert_eq!(s.null_seen, p.null_seen);

@@ -8,13 +8,16 @@
 //!   reference the SMA paths are tested against),
 //! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7): the one bucket loop every
 //!   aggregate plan runs — skip, answer from SMAs, or scan,
-//! * [`parallel`] — the bucket-parallelism knob and morsel partitioning,
 //! * [`degrade`] — degradation accounting: buckets demoted to base scans
 //!   when SMA entries cannot be trusted, and retries spent underneath,
 //! * [`semijoin`] — semi-joins with SMA input reduction (§4),
 //! * [`planner`] — cost-based plan choice with the Fig. 5 breakeven: the
 //!   fate of qualifying buckets, over grades computed once per query,
 //! * [`query1`] — end-to-end TPC-D Query 1 runs.
+//!
+//! [`SmaGAggr`]'s bucket loop runs through the storage layer's morsel
+//! driver ([`sma_storage::map_morsels`]); its [`Parallelism`] knob is
+//! re-exported here. [`SmaScan`] runs serially.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -24,7 +27,6 @@ pub mod colkernel;
 pub mod degrade;
 pub mod gaggr;
 pub mod op;
-pub mod parallel;
 pub mod planner;
 pub mod query1;
 pub mod query3;
@@ -40,7 +42,6 @@ pub use colkernel::{filter_block, SelectionVector};
 pub use degrade::DegradationReport;
 pub use gaggr::{AggSpec, HashGAggr};
 pub use op::{collect, ExecError, PhysicalOp};
-pub use parallel::{morsels, Parallelism};
 pub use planner::{plan, AggregateQuery, Estimate, Plan, PlanKind, PlannerConfig};
 pub use query1::{cutoff, query1_query, run_query1, Q1Execution, Query1Config};
 pub use query3::{query3_sma_definitions, run_query3, Q3Execution, Q3Params};
@@ -49,4 +50,5 @@ pub use query6::{query6_query, query6_sma_definitions, run_query6, Q6Execution, 
 pub use scan::{ScanCounters, SmaScan};
 pub use semijoin::SemiJoin;
 pub use sma_gaggr::SmaGAggr;
+pub use sma_storage::Parallelism;
 pub use sort::{Limit, Sort, SortOrder};

@@ -12,7 +12,6 @@ use sma_types::{RowLayout, Tuple};
 use crate::colkernel::filter_block;
 use crate::degrade::DegradationReport;
 use crate::op::{ExecError, PhysicalOp};
-use crate::parallel::{morsels, Parallelism};
 
 /// Bucket-level counters a finished scan reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,10 +50,6 @@ pub struct SmaScan<'a> {
     buffer: Vec<(TupleId, Tuple)>,
     pos: usize,
     counters: ScanCounters,
-    parallelism: Parallelism,
-    /// Grades precomputed in `open` by worker threads (empty on the serial
-    /// path, which grades lazily bucket by bucket).
-    grades: Vec<Grade>,
     /// Pool retry counter at `open`, so `counters` reports only the
     /// retries this execution spent.
     retries_at_open: u64,
@@ -77,21 +72,9 @@ impl<'a> SmaScan<'a> {
             buffer: Vec::new(),
             pos: 0,
             counters: ScanCounters::default(),
-            parallelism: Parallelism::default(),
-            grades: Vec::new(),
             retries_at_open: 0,
             budget: None,
         }
-    }
-
-    /// Sets the number of worker threads `open` uses to grade buckets
-    /// (default: one per available core). Grading is pure in-memory
-    /// arithmetic over SMA entries, so it parallelizes freely; page I/O
-    /// still happens serially in `next`, in bucket order, so the scan's
-    /// output, counters, and I/O trace are identical at any setting.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> SmaScan<'a> {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Attaches a cooperative budget. The scan checks it at every bucket
@@ -121,10 +104,7 @@ impl<'a> SmaScan<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            self.curr_grade = match self.grades.get(bucket as usize) {
-                Some(&g) => g,
-                None => self.pred.grade(bucket, self.smas),
-            };
+            self.curr_grade = self.pred.grade(bucket, self.smas);
             match self.curr_grade {
                 Grade::Disqualifies => {
                     self.counters.disqualified += 1;
@@ -207,30 +187,7 @@ impl PhysicalOp for SmaScan<'_> {
         self.buffer.clear();
         self.pos = 0;
         self.counters = ScanCounters::default();
-        self.grades.clear();
         self.retries_at_open = self.table.io_stats().retried_reads;
-        let n_buckets = self.table.bucket_count();
-        let threads = self.parallelism.get().min(n_buckets.max(1) as usize);
-        if threads > 1 {
-            let pred = &self.pred;
-            let smas = self.smas;
-            let parts: Result<Vec<Vec<Grade>>, ExecError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = morsels(n_buckets, threads)
-                    .into_iter()
-                    .map(|r| {
-                        scope.spawn(move || r.map(|b| pred.grade(b, smas)).collect::<Vec<Grade>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| ExecError::Plan("grading worker panicked".into()))
-                    })
-                    .collect()
-            });
-            self.grades = parts?.into_iter().flatten().collect();
-        }
         Ok(())
     }
 
@@ -358,27 +315,6 @@ mod tests {
         assert_eq!(keys(&rows), vec![0, 1, 2, 3]);
         assert_eq!(scan.counters().ambivalent, 4);
         assert_eq!(scan.counters().disqualified, 0);
-    }
-
-    #[test]
-    fn parallel_grading_matches_serial_exactly() {
-        let t = sorted_table(40); // 20 buckets
-        let smas = minmax(&t);
-        let pred = BucketPred::cmp(0, CmpOp::Le, 5i64);
-        let mut serial =
-            SmaScan::new(&t, pred.clone(), &smas).with_parallelism(Parallelism::serial());
-        let expected = collect(&mut serial).unwrap();
-        let expected_counters = serial.counters();
-        for threads in [2, 3, 4, 8, 64] {
-            t.reset_io_stats();
-            let mut par =
-                SmaScan::new(&t, pred.clone(), &smas).with_parallelism(Parallelism::new(threads));
-            assert_eq!(collect(&mut par).unwrap(), expected, "{threads} threads");
-            assert_eq!(par.counters(), expected_counters, "{threads} threads");
-            // Page I/O stays serial, so the trace matches too: only the 3
-            // surviving buckets are read.
-            assert_eq!(t.io_stats().logical_reads, 3, "{threads} threads");
-        }
     }
 
     #[test]

@@ -24,13 +24,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use sma_core::{BucketPred, Grade, Sma, SmaSet};
-use sma_storage::{MemRow, QueryBudget};
+use sma_storage::{map_morsels, MemRow, Parallelism, QueryBudget};
 use sma_types::{RowLayout, Tuple, Value};
 
 use crate::colkernel::{aggregate_block, filter_block, SelectionVector};
 use crate::gaggr::{into_rows, AggSpec, DenseGroups, GroupState};
 use crate::op::{ExecError, PhysicalOp};
-use crate::parallel::{morsels, Parallelism};
 use crate::scan::ScanCounters;
 
 /// How one query aggregate maps onto SMAs.
@@ -435,45 +434,28 @@ impl PhysicalOp for SmaGAggr<'_> {
         self.pos = 0;
         self.counters = ScanCounters::default();
         let retries_at_open = self.table.io_stats().retried_reads;
-        let n_buckets = self.table.bucket_count();
-        let threads = self.parallelism.get().min(n_buckets.max(1) as usize);
         // Fig. 7: "forall bucket in buckets: switch(grade(bucket, pred))".
         // Buckets are independent (grading is in-memory arithmetic, pages
-        // are disjoint), so the loop runs as contiguous morsels on worker
-        // threads; partials merge back in bucket order, which keeps both
-        // the result rows and the counters identical to the serial loop.
-        let (mut counters, mut groups) = if threads <= 1 {
-            self.process_buckets(0..n_buckets)?
-        } else {
-            let shared: &SmaGAggr<'_> = &*self;
-            let partials: Vec<Result<_, ExecError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = morsels(n_buckets, threads)
-                    .into_iter()
-                    .map(|r| scope.spawn(move || shared.process_buckets(r)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                        Err(_) => Err(ExecError::Plan("bucket worker panicked".into())),
-                    })
-                    .collect()
-            });
-            let mut counters = ScanCounters::default();
-            let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-            for partial in partials {
-                let (c, partial_groups) = partial?;
-                counters.qualified += c.qualified;
-                counters.disqualified += c.disqualified;
-                counters.ambivalent += c.ambivalent;
-                // Bucket lists are sorted + deduplicated on merge, so the
-                // combined report is identical at any worker count.
-                counters.degradation.merge(&c.degradation);
-                absorb_groups(&mut groups, partial_groups);
-            }
-            (counters, groups)
-        };
+        // are disjoint), so the loop runs as contiguous morsels; partials
+        // merge back in bucket order, which keeps both the result rows and
+        // the counters identical to the serial loop.
+        let partials = map_morsels(
+            self.table.bucket_count(),
+            self.parallelism,
+            |r| self.process_buckets(r),
+            || ExecError::Plan("bucket worker panicked".into()),
+        )?;
+        let mut counters = ScanCounters::default();
+        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+        for (c, partial_groups) in partials {
+            counters.qualified += c.qualified;
+            counters.disqualified += c.disqualified;
+            counters.ambivalent += c.ambivalent;
+            // Bucket lists are sorted + deduplicated on merge, so the
+            // combined report is identical at any worker count.
+            counters.degradation.merge(&c.degradation);
+            absorb_groups(&mut groups, partial_groups);
+        }
         self.fold_overlay(&mut groups)?;
         // Retries are a pool-level tally (morsels share the pool), so the
         // per-execution figure is the delta across the whole bucket loop.

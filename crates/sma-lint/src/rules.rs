@@ -248,16 +248,18 @@ const COLUMNAR_HOME: &[&str] = &[
 /// Classifies a workspace-relative path (`crates/sma-core/src/sma.rs`).
 pub fn classify(rel: &str) -> FileClass {
     let rel = rel.replace('\\', "/");
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("smadb")
-        .to_string();
-    let in_crate = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split_once('/'))
-        .map(|(_, rest)| rest.to_string())
-        .unwrap_or(rel.clone());
+    // `crates/<name>/...` and the separate-workspace `perfbench/` package
+    // are crates of their own; everything else is the root `smadb` package.
+    let (crate_name, in_crate) = match rel.strip_prefix("crates/") {
+        Some(r) => match r.split_once('/') {
+            Some((name, rest)) => (name.to_string(), rest.to_string()),
+            None => (r.to_string(), String::new()),
+        },
+        None => match rel.strip_prefix("perfbench/") {
+            Some(rest) => ("perfbench".to_string(), rest.to_string()),
+            None => ("smadb".to_string(), rel.clone()),
+        },
+    };
     let target = if in_crate.starts_with("tests/") {
         Target::Test
     } else if in_crate.starts_with("benches/") {

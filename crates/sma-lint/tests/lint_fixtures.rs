@@ -2,7 +2,7 @@
 //! (rule, file, line) each produces, plus the allowlist contract:
 //! a justified directive suppresses, a bare one is itself a violation.
 
-use sma_lint::{lint_source, Diagnostic};
+use sma_lint::{classify, lint_source, Diagnostic};
 
 /// Lints `src` as if it lived at `rel` and returns `(rule, line)` pairs.
 fn fire(rel: &str, src: &str) -> Vec<(&'static str, u32)> {
@@ -102,6 +102,34 @@ fn panic_rules_exempt_bench_and_bin_targets() {
     let src = "fn main() { Some(1).unwrap(); }\n";
     assert!(fire("crates/sma-bench/src/bin/tool.rs", src).is_empty());
     assert!(fire("benches/scan.rs", src).is_empty());
+}
+
+/// The benchmark harness under `perfbench/` is a package of its own, not
+/// part of the root `smadb` library: its binary and its modules are
+/// non-product code, while a root `src/` file stays product library code.
+#[test]
+fn perfbench_is_its_own_non_product_crate() {
+    use sma_lint::rules::Target;
+    let main = classify("perfbench/src/main.rs");
+    assert_eq!(main.crate_name, "perfbench");
+    assert_eq!(main.target, Target::Bin);
+    assert!(!main.product);
+    let module = classify("perfbench/src/trace.rs");
+    assert_eq!(module.crate_name, "perfbench");
+    assert_eq!(module.target, Target::Lib);
+    assert!(!module.product);
+    let root = classify("src/warehouse.rs");
+    assert_eq!(root.crate_name, "smadb");
+    assert_eq!(root.target, Target::Lib);
+    assert!(root.product);
+    // The walls follow the classification.
+    let src = "pub fn f() {\n\teprintln!(\"x\");\n\tlet _ = std::time::Instant::now();\n}\n";
+    assert!(fire("perfbench/src/trace.rs", src).is_empty());
+    assert!(fire("perfbench/src/main.rs", src).is_empty());
+    assert_eq!(
+        fire("src/rogue.rs", src),
+        vec![("U2-debug-output", 2), ("D1-wall-clock", 3)]
+    );
 }
 
 // --- P4: literal indexing in codec modules --------------------------------

@@ -8,6 +8,8 @@
 //! * [`segment`] — layered read-only segments + copy-on-write overlay for
 //!   incrementally-flushed tables,
 //! * [`table`] — heap tables with positional *buckets*, the SMA granularity,
+//! * [`parallel`] — the bucket-loop driver: the [`Parallelism`] knob, the
+//!   morsel partition, and the one place that spawns bucket workers,
 //! * [`cost`] — deterministic pricing of observed I/O patterns,
 //! * [`wal`] / [`memtable`] — the durable streaming-ingest pair: an
 //!   append-only CRC32-framed log and the volatile buffer it protects.
@@ -31,6 +33,7 @@ pub mod columnar;
 pub mod cost;
 pub mod memtable;
 pub mod page;
+pub mod parallel;
 pub mod pool;
 pub mod segment;
 pub mod store;
@@ -44,6 +47,7 @@ pub use columnar::{ColumnarError, CHUNK_CAPACITY};
 pub use cost::{CostModel, Stopwatch};
 pub use memtable::{MemRow, Memtable};
 pub use page::{SlotId, SlottedPage, MAX_TUPLE_BYTES, PAGE_FOOTER_LEN, PAGE_SIZE};
+pub use parallel::{map_morsels, morsels, Parallelism};
 pub use pool::{BufferPool, IoStats, RetryPolicy};
 pub use segment::SegmentedStore;
 pub use store::{atomic_write_file, sync_dir, FileStore, MemStore, PageNo, PageStore, StoreError};

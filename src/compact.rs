@@ -9,7 +9,7 @@
 //! manifest-last, exactly like a flush.
 //!
 //! The rewrite runs one worker thread per table via [`std::thread::scope`]
-//! (the same discipline as `sma_exec::parallel`: spawn, join, merge in
+//! (the same discipline as `sma_storage::map_morsels`: spawn, join, merge in
 //! deterministic order, map panics to errors). Compaction never touches
 //! the WAL: it advances the catalog epoch but leaves the watermark and the
 //! WAL epoch alone, so records acknowledged after the compaction replay

@@ -608,9 +608,7 @@ impl Warehouse {
         put_u64(&mut manifest, meta.watermark);
         put_u64(&mut manifest, meta.wal_epoch);
         // Manifest v3: the table-count high bit signals that each table
-        // entry carries a layout byte after bucket_pages. v2 readers never
-        // see v3 manifests (upgrades are forward-only); this v3 reader
-        // still accepts v2 manifests, whose tables are all row-major.
+        // entry carries a layout byte after bucket_pages.
         put_u32(&mut manifest, MANIFEST_V3_FLAG | (self.tables.len() as u32));
         for (name, table) in &self.tables {
             put_str(&mut manifest, name);
@@ -785,9 +783,10 @@ pub const MANIFEST_FILE: &str = "catalog.smac";
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SMAC";
 
-/// High bit of the manifest's table count: set by v3 writers to signal
-/// that each table entry carries a per-table layout byte (0 = row-only,
-/// 1 = may contain columnar buckets) after `bucket_pages`.
+/// High bit of the manifest's table count: every writer sets it, and it
+/// signals that each table entry carries a per-table layout byte (0 =
+/// row-only, 1 = may contain columnar buckets) after `bucket_pages`. A
+/// manifest without it is refused as corrupt.
 const MANIFEST_V3_FLAG: u32 = 0x8000_0000;
 
 /// The commit point a manifest records for the streaming ingest path:
@@ -1068,7 +1067,11 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
         wal_epoch: c.u64()?,
     };
     let raw_tables = c.u32()?;
-    let v3 = raw_tables & MANIFEST_V3_FLAG != 0;
+    if raw_tables & MANIFEST_V3_FLAG == 0 {
+        return Err(WarehouseError::CorruptManifest(
+            "pre-v3 manifest (no layout bytes); nothing writes that format".into(),
+        ));
+    }
     let n_tables = (raw_tables & !MANIFEST_V3_FLAG) as usize;
     let mut tables = Vec::with_capacity(n_tables.min(1024));
     for _ in 0..n_tables {
@@ -1087,18 +1090,14 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
                 "table {name:?} has zero bucket_pages"
             )));
         }
-        let columnar = if v3 {
-            match c.u8()? {
-                0 => false,
-                1 => true,
-                tag => {
-                    return Err(WarehouseError::CorruptManifest(format!(
-                        "table {name:?} has unknown layout tag {tag}"
-                    )))
-                }
+        let columnar = match c.u8()? {
+            0 => false,
+            1 => true,
+            tag => {
+                return Err(WarehouseError::CorruptManifest(format!(
+                    "table {name:?} has unknown layout tag {tag}"
+                )))
             }
-        } else {
-            false
         };
         let n_cols = c.u32()? as usize;
         let mut columns = Vec::with_capacity(n_cols.min(1024));
@@ -1460,6 +1459,42 @@ mod tests {
             Err(WarehouseError::CorruptManifest(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manifest without the v3 flag (the retired v2 shape: no layout
+    /// byte per table) is rejected even with a valid checksum; the same
+    /// table in the v3 shape decodes.
+    #[test]
+    fn manifest_without_v3_flag_is_corrupt() {
+        let stream = |v3: bool| {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, 0); // epoch
+            put_u64(&mut payload, 0); // watermark
+            put_u64(&mut payload, 0); // wal_epoch
+            put_u32(&mut payload, if v3 { MANIFEST_V3_FLAG | 1 } else { 1 });
+            put_str(&mut payload, "T");
+            put_u32(&mut payload, 0); // no segments
+            put_u32(&mut payload, 1); // bucket_pages
+            if v3 {
+                payload.push(0); // row-major layout
+            }
+            put_u32(&mut payload, 1);
+            put_str(&mut payload, "K");
+            payload.push(dtype_tag(DataType::Int));
+            put_u32(&mut payload, 0); // no SMAs
+            let mut stream = MANIFEST_MAGIC.to_vec();
+            put_u32(&mut stream, payload.len() as u32);
+            put_u32(&mut stream, crc32(&payload));
+            stream.extend_from_slice(&payload);
+            stream
+        };
+        assert!(matches!(
+            decode_manifest(&stream(false)),
+            Err(WarehouseError::CorruptManifest(_))
+        ));
+        let (_, tables) = decode_manifest(&stream(true)).unwrap();
+        assert_eq!(tables.len(), 1);
+        assert!(!tables[0].columnar);
     }
 
     #[test]

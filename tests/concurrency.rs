@@ -7,9 +7,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smadb::exec::AggSpec;
 use smadb::exec::{collect, run_query1, Parallelism, Query1Config, SmaGAggr};
-use smadb::sma::{build_many_parallel, col, BucketPred, CmpOp, SmaSet};
-use smadb::storage::{BufferPool, MemStore, PAGE_FOOTER_LEN, PAGE_SIZE};
+use smadb::sma::{build_many, col, AggFn, BucketPred, CmpOp, SmaDefinition, SmaSet};
+use smadb::storage::{BufferPool, MemStore, Table, PAGE_FOOTER_LEN, PAGE_SIZE};
 use smadb::tpcd::{generate_lineitem_table, q1_cutoff, q1_reference_table, Clustering, GenConfig};
+use smadb::types::Value;
 
 #[test]
 fn concurrent_queries_on_one_table() {
@@ -79,19 +80,56 @@ fn concurrent_build_and_read() {
     });
 }
 
+/// The bulk build reproduces, at every worker count, exactly the SMAs
+/// that per-tuple maintenance (`note_insert`) produces: same groups, same
+/// entries, same null flags. The table mixes row and columnar buckets and
+/// has `NULL` min/max inputs; the Fig. 4 set adds grouped expression
+/// inputs such as `sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT))`.
 #[test]
 fn parallel_bulkload_with_many_threads_is_stable() {
-    let table = generate_lineitem_table(&GenConfig::tiny(Clustering::Uniform));
-    let defs = SmaSet::query1_definitions(&table).unwrap();
-    let serial = SmaSet::build(&table, defs.clone()).unwrap();
-    for threads in [2, 3, 8, 16] {
-        let parallel = build_many_parallel(&table, defs.clone(), threads).unwrap();
-        for (s, p) in serial.smas().iter().zip(&parallel) {
-            assert_eq!(s.n_buckets(), p.n_buckets(), "threads={threads}");
-            for (key, file) in s.groups() {
-                for b in 0..s.n_buckets() {
-                    assert_eq!(p.entry(key, b), file.get(b), "threads={threads}");
-                }
+    let generated = generate_lineitem_table(&GenConfig::tiny(Clustering::Uniform));
+    let schema = generated.schema().clone();
+    let mut table = Table::in_memory("LINEITEM", schema.clone(), generated.bucket_pages());
+    let commitdate = 11;
+    for (i, (_, mut tuple)) in generated.scan().unwrap().into_iter().enumerate() {
+        if i % 13 == 0 {
+            tuple[commitdate] = Value::Null;
+        }
+        table.append(&tuple).unwrap();
+    }
+    let half = table.bucket_range(table.bucket_count() / 2).start;
+    let converted = table.convert_buckets_from(half).unwrap();
+    assert!(!converted.is_empty(), "second half goes columnar");
+    assert!(!table.is_columnar_bucket(0), "first half stays row-major");
+
+    let mut defs = SmaSet::query1_definitions(&table).unwrap();
+    defs.push(SmaDefinition::new("mincommit", AggFn::Min, col(commitdate)));
+    defs.push(SmaDefinition::new("maxcommit", AggFn::Max, col(commitdate)).group_by(vec![8]));
+    let mut maintained = SmaSet::build(
+        &Table::in_memory("EMPTY", schema, table.bucket_pages()),
+        defs.clone(),
+    )
+    .unwrap();
+    for (tid, tuple) in table.scan().unwrap() {
+        maintained
+            .note_insert(table.bucket_of_page(tid.page), &tuple)
+            .unwrap();
+    }
+    let mincommit = maintained.by_name("mincommit").unwrap();
+    assert!((0..mincommit.n_buckets()).any(|b| mincommit.saw_null(b)));
+
+    for threads in [1, 2, 3, 4, 8, 16] {
+        let built = build_many(&table, defs.clone(), Parallelism::new(threads)).unwrap();
+        for (m, b) in maintained.smas().iter().zip(&built) {
+            let what = format!("{} at {threads} threads", m.def().name);
+            assert_eq!(b.n_buckets(), m.n_buckets(), "{what}");
+            assert_eq!(
+                b.groups().collect::<Vec<_>>(),
+                m.groups().collect::<Vec<_>>(),
+                "{what}"
+            );
+            for bucket in 0..m.n_buckets() {
+                assert_eq!(b.saw_null(bucket), m.saw_null(bucket), "{what}");
             }
         }
     }
@@ -188,8 +226,9 @@ fn parallel_execution_is_deterministic_across_clusterings() {
         let serial_set = SmaSet::build(&table, defs.clone()).unwrap();
 
         // Bulkload: any worker count reproduces the serial SMA files.
-        let par_smas = build_many_parallel(&table, defs.clone(), 4).unwrap();
-        for (s, p) in serial_set.smas().iter().zip(&par_smas) {
+        let serial_smas = build_many(&table, defs.clone(), Parallelism::serial()).unwrap();
+        let par_smas = build_many(&table, defs.clone(), Parallelism::new(4)).unwrap();
+        for (s, p) in serial_smas.iter().zip(&par_smas) {
             for (key, file) in s.groups() {
                 for b in 0..s.n_buckets() {
                     assert_eq!(p.entry(key, b), file.get(b), "{clustering:?}");

@@ -3,8 +3,8 @@
 //! full-scan oracle exactly.
 
 use smadb::exec::{run_query1, PlanKind, Query1Config};
-use smadb::sma::SmaSet;
-use smadb::storage::MemStore;
+use smadb::sma::{build_many, SmaSet};
+use smadb::storage::{MemStore, Parallelism};
 use smadb::tpcd::{
     generate_lineitem_table, load_lineitem, q1_cutoff, q1_reference_table, Clustering, GenConfig,
     Q1Row,
@@ -93,8 +93,15 @@ fn bucket_sizes_do_not_change_answers() {
 fn parallel_build_answers_identically() {
     let table = generate_lineitem_table(&GenConfig::tiny(Clustering::diagonal_default()));
     let defs = SmaSet::query1_definitions(&table).unwrap();
-    let serial = SmaSet::build(&table, defs.clone()).unwrap();
-    let parallel = SmaSet::build_parallel(&table, defs, 4).unwrap();
+    let set = |smas: Vec<_>| {
+        let mut set = SmaSet::new();
+        for sma in smas {
+            set.push(sma);
+        }
+        set
+    };
+    let serial = set(build_many(&table, defs.clone(), Parallelism::serial()).unwrap());
+    let parallel = set(build_many(&table, defs, Parallelism::new(4)).unwrap());
     let a = run_query1(&table, Some(&serial), &Query1Config::default()).unwrap();
     let b = run_query1(&table, Some(&parallel), &Query1Config::default()).unwrap();
     assert_eq!(a.rows, b.rows);
