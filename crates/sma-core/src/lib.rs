@@ -16,8 +16,8 @@
 //! (bulkload + maintenance) → [`mod@file`] (the sequential SMA-files) →
 //! [`set`] (SMA sets, grading provider) → [`grade`] (§3.1 algebra) →
 //! [`hierarchical`] / [`join_sma`] (§4 extensions) → [`parse`] /
-//! [`catalog`] (the declarative front end) → [`persist`] (page-store
-//! serialization) → [`projection`] (the structure SMAs generalize).
+//! [`catalog`] (the declarative front end) → [`persist`] (checksummed
+//! SMA files) → [`projection`] (the structure SMAs generalize).
 //! [`expr`] and [`agg`] are the shared scalar-expression and accumulator
 //! plumbing.
 //!
@@ -73,8 +73,8 @@ pub use hierarchical::{HierarchicalMinMax, HierarchicalPrune};
 pub use join_sma::{semijoin_prune, MinimaxOf};
 pub use parse::{parse_define_sma, ParseError};
 pub use persist::{
-    decode_definition, decode_sma_stream, encode_definition, encode_sma_stream, load_sma,
-    load_sma_file, save_sma, save_sma_file,
+    decode_definition, decode_sma_stream, encode_definition, encode_sma_stream, load_sma_file,
+    save_sma_file,
 };
 pub use projection::ProjectionIndex;
 pub use set::{merge_bucket_into_group, SmaSet};

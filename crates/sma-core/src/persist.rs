@@ -1,10 +1,9 @@
-//! Persisting SMAs into page stores and plain files.
+//! Persisting SMAs as plain files.
 //!
 //! The paper stores SMA-files as plain sequential disk files. This module
 //! serializes a built [`Sma`] — its definition, group directory, per-group
-//! SMA-files, and maintenance bitmaps — into any `PageStore`
-//! implementation or an on-disk file, so benchmark runs that charge SMA
-//! I/O can do so against *real* pages, and warehouses survive restarts.
+//! SMA-files, and maintenance bitmaps — into one checksummed byte stream
+//! and writes it to an on-disk file, so warehouses survive restarts.
 //!
 //! Stream format `SMA2` (little-endian):
 //!
@@ -15,10 +14,9 @@
 //! ```
 //!
 //! Values carry a one-byte type tag; expressions serialize as a preorder
-//! tree walk. In a page store the stream is chunked into pages (zero
-//! padded); on disk it is written with the atomic write-temp → fsync →
-//! rename recipe ([`save_sma_file`]), so a crash leaves either the old or
-//! the new SMA image, never a torn one — and a torn or bit-flipped image
+//! tree walk. On disk the stream is written with the atomic write-temp →
+//! fsync → rename recipe ([`save_sma_file`]), so a crash leaves either the
+//! old or the new SMA image, never a torn one — and a torn or bit-flipped image
 //! fails the CRC and surfaces as [`SmaError::Corrupt`], which recovery
 //! answers by rebuilding from the base table (the paper's redundancy
 //! argument, §3). That includes any stream without the `SMA2` magic, such
@@ -27,7 +25,7 @@
 use std::path::Path;
 
 use sma_storage::checksum::crc32;
-use sma_storage::{atomic_write_file, PageStore, StoreError, PAGE_SIZE};
+use sma_storage::{atomic_write_file, StoreError};
 use sma_types::{bytes, Date, Decimal, Value};
 
 use crate::agg::AggFn;
@@ -383,10 +381,9 @@ pub fn encode_sma_stream(sma: &Sma) -> Vec<u8> {
 }
 
 /// Decodes a byte stream produced by [`encode_sma_stream`]. Bytes past
-/// the declared length are ignored, so page-padded images decode
-/// unchanged. A missing magic, truncation, bit flips, and checksum
-/// mismatches all surface as [`SmaError::Corrupt`] — never a panic and
-/// never a silently wrong SMA.
+/// the declared length (zero padding) are ignored. A missing magic,
+/// truncation, bit flips, and checksum mismatches all surface as
+/// [`SmaError::Corrupt`] — never a panic and never a silently wrong SMA.
 pub fn decode_sma_stream(buf: &[u8]) -> Result<Sma, SmaError> {
     if !buf.starts_with(MAGIC_V2) {
         return Err(SmaError::Corrupt("bad magic".into()));
@@ -411,79 +408,6 @@ pub fn decode_sma_stream(buf: &[u8]) -> Result<Sma, SmaError> {
         )));
     }
     decode_payload(payload)
-}
-
-// ------------------------------------------------------------- page layer
-
-/// Writes `sma` into `store` starting at a freshly-allocated page run.
-/// Returns `(first_page, page_count)`.
-pub fn save_sma(sma: &Sma, store: &mut dyn PageStore) -> Result<(u32, u32), SmaError> {
-    let stream = encode_sma_stream(sma);
-    let pages = u32::try_from(stream.len().div_ceil(PAGE_SIZE))
-        .map_err(|_| SmaError::Corrupt("SMA image exceeds the u32 page space".into()))?;
-    let first = store.allocate()?;
-    for p in 1..pages {
-        let got = store.allocate()?;
-        debug_assert_eq!(got, first + p, "contiguous allocation");
-    }
-    let mut page = [0u8; PAGE_SIZE];
-    for (page_no, chunk) in (first..).zip(stream.chunks(PAGE_SIZE)) {
-        page.fill(0);
-        page.get_mut(..chunk.len())
-            .ok_or_else(|| SmaError::Corrupt("chunk larger than a page".into()))?
-            .copy_from_slice(chunk);
-        // SMA images bypass the slotted-page pool by design: they are raw
-        // chunked stream pages with a stream-level CRC, not tuple pages
-        // with slot directories and per-page footers (DESIGN.md §5).
-        // sma-lint: allow(L1-page-discipline) -- SMA image layer writes raw stream pages; integrity is the stream CRC, not the pool's page footer
-        store.write_page(page_no, &page)?;
-    }
-    store.sync()?;
-    Ok((first, pages))
-}
-
-/// Reads a SMA previously written with [`save_sma`] at `first_page`. A
-/// store that holds fewer pages than the stream header claims (a crash
-/// truncated the tail) is reported as [`SmaError::Corrupt`], not
-/// [`StoreError::OutOfRange`].
-pub fn load_sma(store: &dyn PageStore, first_page: u32) -> Result<Sma, SmaError> {
-    if first_page >= store.page_count() {
-        return Err(SmaError::Corrupt(format!(
-            "SMA image missing: starts at page {first_page}, store holds {}",
-            store.page_count()
-        )));
-    }
-    let mut head = [0u8; PAGE_SIZE];
-    // sma-lint: allow(L1-page-discipline) -- SMA image layer reads raw stream pages; integrity is the stream CRC, not the pool's page footer
-    store.read_page(first_page, &mut head)?;
-    if !head.starts_with(MAGIC_V2) {
-        return Err(SmaError::Corrupt("bad magic".into()));
-    }
-    // Over-reading a few trailing zero-padded bytes is harmless, so the
-    // page count comes straight from the header's payload length.
-    let total = V2_HEADER
-        + bytes::get_u32_le(&head, 4)
-            .ok_or_else(|| SmaError::Corrupt("SMA image header unreadable".into()))?
-            as usize;
-    // `total` is bounded by u32::MAX + 12, so the page count always fits.
-    let pages = u32::try_from(total.div_ceil(PAGE_SIZE))
-        .map_err(|_| SmaError::Corrupt("SMA image header claims absurd size".into()))?;
-    if (first_page as u64) + (pages as u64) > store.page_count() as u64 {
-        return Err(SmaError::Corrupt(format!(
-            "SMA image truncated: needs {pages} pages from page {first_page}, \
-             store holds {}",
-            store.page_count()
-        )));
-    }
-    let mut stream = Vec::with_capacity(pages as usize * PAGE_SIZE);
-    stream.extend_from_slice(&head);
-    let mut page = [0u8; PAGE_SIZE];
-    for p in 1..pages {
-        // sma-lint: allow(L1-page-discipline) -- SMA image layer reads raw stream pages; integrity is the stream CRC, not the pool's page footer
-        store.read_page(first_page + p, &mut page)?;
-        stream.extend_from_slice(&page);
-    }
-    decode_sma_stream(&stream)
 }
 
 // ------------------------------------------------------------- file layer
@@ -514,7 +438,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, dec_lit};
     use crate::set::SmaSet;
-    use sma_storage::{MemStore, Table};
+    use sma_storage::Table;
     use sma_types::{Column, DataType, Schema};
     use std::sync::Arc;
 
@@ -540,10 +464,7 @@ mod tests {
     }
 
     fn roundtrip(sma: &Sma) -> Sma {
-        let mut store = MemStore::new();
-        let (first, pages) = save_sma(sma, &mut store).unwrap();
-        assert_eq!(store.page_count(), pages);
-        load_sma(&store, first).unwrap()
+        decode_sma_stream(&encode_sma_stream(sma)).unwrap()
     }
 
     #[test]
@@ -602,14 +523,9 @@ mod tests {
             SmaDefinition::count("count").group_by(vec![1]),
         ];
         let set = SmaSet::build(&t, defs).unwrap();
-        let mut store = MemStore::new();
-        let mut locations = Vec::new();
-        for sma in set.smas() {
-            locations.push(save_sma(sma, &mut store).unwrap());
-        }
         let mut reloaded = SmaSet::new();
-        for (first, _) in &locations {
-            reloaded.push(load_sma(&store, *first).unwrap());
+        for sma in set.smas() {
+            reloaded.push(roundtrip(sma));
         }
         let pred = BucketPred::cmp(0, CmpOp::Le, Value::Date(Date::from_days(9010)));
         for b in 0..t.bucket_count() {
@@ -640,20 +556,21 @@ mod tests {
     fn corrupt_images_are_rejected() {
         let t = sample_table();
         let sma = Sma::build(&t, SmaDefinition::new("min", AggFn::Min, col(0))).unwrap();
-        let mut store = MemStore::new();
-        let (first, _) = save_sma(&sma, &mut store).unwrap();
+        let clean = encode_sma_stream(&sma);
         // Corrupt the magic.
-        let mut page = [0u8; PAGE_SIZE];
-        store.read_page(first, &mut page).unwrap();
-        page[0] = b'X';
-        store.write_page(first, &page).unwrap();
-        assert!(matches!(load_sma(&store, first), Err(SmaError::Corrupt(_))));
-        // Truncated store: claim a huge body.
-        let mut page2 = [0u8; PAGE_SIZE];
-        store.read_page(first, &mut page2).unwrap();
-        page2[..4].copy_from_slice(&(10 * PAGE_SIZE as u32).to_le_bytes());
-        store.write_page(first, &page2).unwrap();
-        assert!(load_sma(&store, first).is_err());
+        let mut evil = clean.clone();
+        evil[0] = b'X';
+        assert!(matches!(
+            decode_sma_stream(&evil),
+            Err(SmaError::Corrupt(_))
+        ));
+        // Truncated stream: the header claims a body far past the end.
+        let mut evil = clean.clone();
+        evil[4..8].copy_from_slice(&(10 * clean.len() as u32).to_le_bytes());
+        assert!(matches!(
+            decode_sma_stream(&evil),
+            Err(SmaError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -678,7 +595,7 @@ mod tests {
         let t = sample_table();
         let sma = Sma::build(&t, SmaDefinition::new("min", AggFn::Min, col(0))).unwrap();
         let mut padded = encode_sma_stream(&sma);
-        padded.resize(padded.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+        padded.resize(padded.len() + 100, 0);
         let back = decode_sma_stream(&padded).unwrap();
         assert_eq!(back.def(), sma.def());
     }
@@ -698,17 +615,6 @@ mod tests {
         legacy.extend_from_slice(b"SMA1");
         legacy.extend_from_slice(&payload);
         let err = decode_sma_stream(&legacy).unwrap_err();
-        assert!(matches!(err, SmaError::Corrupt(_)), "{err}");
-        // And through the page layer, zero-padded like a real store image.
-        let mut store = MemStore::new();
-        let mut page = [0u8; PAGE_SIZE];
-        for chunk in legacy.chunks(PAGE_SIZE) {
-            let no = store.allocate().unwrap();
-            page.fill(0);
-            page[..chunk.len()].copy_from_slice(chunk);
-            store.write_page(no, &page).unwrap();
-        }
-        let err = load_sma(&store, 0).unwrap_err();
         assert!(matches!(err, SmaError::Corrupt(_)), "{err}");
     }
 

@@ -36,7 +36,7 @@ pub enum SmaError {
     Table(TableError),
     /// A persisted SMA image failed to decode.
     Corrupt(String),
-    /// The page store failed while saving or loading a SMA.
+    /// The file I/O of saving or loading a SMA image failed.
     Store(sma_storage::StoreError),
 }
 

@@ -15,46 +15,8 @@ use crate::gaggr::AggSpec;
 use crate::op::ExecError;
 use crate::planner::{plan, AggregateQuery, PlanKind, PlannerConfig};
 
-/// Re-export of the workload parameters (defined next to the oracle).
-pub use sma_tpcd_params::Q6Params;
-
-/// Tiny shim module so this crate does not depend on `sma-tpcd` at build
-/// time: the parameter struct is duplicated here with identical semantics
-/// and converted freely in tests.
-mod sma_tpcd_params {
-    use sma_types::{Date, Decimal};
-
-    /// Query 6 substitution parameters (see `sma_tpcd::Q6Params`).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Q6Params {
-        /// First ship date included.
-        pub date: Date,
-        /// Central discount; the band is ±0.01.
-        pub discount: Decimal,
-        /// Exclusive quantity bound.
-        pub quantity: i64,
-    }
-
-    impl Default for Q6Params {
-        fn default() -> Q6Params {
-            Q6Params {
-                // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
-                date: Date::from_ymd(1994, 1, 1).expect("valid constant"),
-                // sma-lint: allow(P2-expect) -- compile-time constant decimal; cannot fail
-                discount: Decimal::parse("0.06").expect("valid constant"),
-                quantity: 24,
-            }
-        }
-    }
-
-    impl Q6Params {
-        /// Exclusive upper ship-date bound: `date + 1 year`.
-        pub fn date_hi(&self) -> Date {
-            let (y, m, d) = self.date.ymd();
-            Date::from_ymd(y + 1, m, d).unwrap_or_else(|_| self.date.add_days(365))
-        }
-    }
-}
+/// The workload parameters, defined next to the reference oracle.
+pub use sma_tpcd::Q6Params;
 
 /// The SMA definitions that serve Query 6: min/max on each restricted
 /// column plus the ungrouped revenue sum and count.
@@ -93,14 +55,12 @@ pub fn query6_query(table: &Table, p: &Q6Params) -> Result<AggregateQuery, ExecE
     let disc = need("L_DISCOUNT")?;
     let qty = need("L_QUANTITY")?;
     let ext = need("L_EXTENDEDPRICE")?;
-    let lo = p.discount - Decimal::from_cents(1);
-    let hi = p.discount + Decimal::from_cents(1);
     Ok(AggregateQuery {
         pred: BucketPred::And(vec![
             BucketPred::cmp(ship, CmpOp::Ge, Value::Date(p.date)),
             BucketPred::cmp(ship, CmpOp::Lt, Value::Date(p.date_hi())),
-            BucketPred::cmp(disc, CmpOp::Ge, Value::Decimal(lo)),
-            BucketPred::cmp(disc, CmpOp::Le, Value::Decimal(hi)),
+            BucketPred::cmp(disc, CmpOp::Ge, Value::Decimal(p.discount_lo())),
+            BucketPred::cmp(disc, CmpOp::Le, Value::Decimal(p.discount_hi())),
             BucketPred::cmp(
                 qty,
                 CmpOp::Lt,
@@ -158,14 +118,6 @@ mod tests {
     use super::*;
     use sma_tpcd::{generate_lineitem_table, q6_reference_table, Clustering, GenConfig};
 
-    fn tpcd_params(p: &Q6Params) -> sma_tpcd::Q6Params {
-        sma_tpcd::Q6Params {
-            date: p.date,
-            discount: p.discount,
-            quantity: p.quantity,
-        }
-    }
-
     #[test]
     fn matches_oracle_across_clusterings() {
         for clustering in [
@@ -178,7 +130,7 @@ mod tests {
             let p = Q6Params::default();
             let with = run_query6(&table, Some(&smas), &p, &PlannerConfig::default()).unwrap();
             let without = run_query6(&table, None, &p, &PlannerConfig::default()).unwrap();
-            let oracle = q6_reference_table(&table, &tpcd_params(&p)).unwrap();
+            let oracle = q6_reference_table(&table, &p).unwrap();
             assert_eq!(with.revenue, oracle, "{clustering:?}");
             assert_eq!(without.revenue, oracle, "{clustering:?}");
         }

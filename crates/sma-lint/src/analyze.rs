@@ -156,10 +156,6 @@ impl AnalyzeConfig {
                     reason: "documented unbudgeted convenience API; the server path uses query_with_budget",
                 },
                 Allow {
-                    func: "export_merged_segment",
-                    reason: "compaction helper: re-reads the tables it is merging; bounded by segment size and CompactionPolicy cadence, not query traffic",
-                },
-                Allow {
                     func: "StreamingWarehouse::create",
                     reason: "one-time warehouse creation seals the initial generation; runs before any query is admitted",
                 },
@@ -170,10 +166,6 @@ impl AnalyzeConfig {
                 Allow {
                     func: "StreamingWarehouse::open_with_recovery",
                     reason: "recovery path: WAL replay and segment verification read pages to rebuild committed state before queries start",
-                },
-                Allow {
-                    func: "seal_initial_generation",
-                    reason: "create-time helper: exports the empty base generation exactly once",
                 },
                 Allow {
                     func: "StreamingWarehouse::define_sma",
@@ -204,12 +196,12 @@ impl AnalyzeConfig {
                     reason: "maintenance: full-set repair over heal(); administrative, not query-serving",
                 },
                 Allow {
-                    func: "Warehouse::save_generation",
-                    reason: "bulk persistence: exporting a generation reads every live page once; checkpoint-time operation",
+                    func: "StreamingWarehouse::write_generation",
+                    reason: "flush/compaction front of the generation writer: columnar conversion reads each sealed bucket it converts once; checkpoint-time operation",
                 },
                 Allow {
-                    func: "Warehouse::save_delta_generation",
-                    reason: "bulk persistence: delta export reads the appended page range once; checkpoint-time operation",
+                    func: "Warehouse::write_generation",
+                    reason: "the one generation writer (save, initial seal, flush, compaction): exports each table's page range once; checkpoint-time operation",
                 },
                 Allow {
                     func: "recover_sma",
@@ -232,13 +224,8 @@ impl AnalyzeConfig {
                 // Segment export: pages are copied into the export store
                 // and synced before the manifest ever names the segment.
                 "Table::export_page_range",
-                // SMA image write: allocate → write pages → sync, with a
-                // stream-level CRC; the sync is the image's commit.
-                "save_sma",
                 // Manifest-last generation commits.
                 "commit_manifest",
-                "Warehouse::save_generation",
-                "Warehouse::save_delta_generation",
                 "Warehouse::save_to_dir",
                 // The atomic SMA-image write (tmp + rename + dir sync) is
                 // itself the per-file commit protocol.

@@ -13,7 +13,9 @@
 //!   within a worker), and
 //! * [`map_morsels`] — the driver: it runs a function over each morsel
 //!   and returns the results **in bucket order**, so concatenating them
-//!   reproduces the serial loop exactly.
+//!   reproduces the serial loop exactly. Any loop over independent,
+//!   numbered units can use it; the warehouse's segment export runs one
+//!   over its tables.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

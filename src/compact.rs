@@ -3,17 +3,14 @@
 //! Incremental flushes (see [`crate::ingest`]) keep appending small delta
 //! segments; left alone, a table's committed segment list grows without
 //! bound and every reopen pays one file open per segment. Compaction is
-//! the merge half of that LSM-shaped bargain: rewrite each table as a
-//! single full segment, refresh its SMAs, rebuild the hierarchical
-//! min/max summaries on top of them, and commit the new generation —
-//! manifest-last, exactly like a flush.
-//!
-//! The rewrite runs one worker thread per table via [`std::thread::scope`]
-//! (the same discipline as `sma_storage::map_morsels`: spawn, join, merge in
-//! deterministic order, map panics to errors). Compaction never touches
-//! the WAL: it advances the catalog epoch but leaves the watermark and the
-//! WAL epoch alone, so records acknowledged after the compaction replay
-//! fine if the process dies — the crash-sweep tests cover every
+//! the merge half of that LSM-shaped bargain: refresh each table's SMAs,
+//! rewrite every table as a single full segment through the same
+//! generation writer a flush uses (`Warehouse::write_generation`, which
+//! exports tables through `sma_storage::map_morsels`), and commit the new
+//! generation — manifest-last, exactly like a flush. Compaction never
+//! touches the WAL: it advances the catalog epoch but leaves the watermark
+//! and the WAL epoch alone, so records acknowledged after the compaction
+//! replay fine if the process dies — the crash-sweep tests cover every
 //! [`CompactStage`] prefix.
 //!
 //! [`CompactionPolicy`] makes it "background" in the operational sense:
@@ -23,18 +20,10 @@
 //! one by hand.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use crate::ingest::{FlushStage, IngestError, StreamingWarehouse};
-use crate::warehouse::{commit_manifest, CommitMeta, SegmentLists, SegmentMeta, WarehouseError};
-use sma_core::HierarchicalMinMax;
-use sma_storage::{FileStore, PageStore, Table};
-
-/// Fan-out of the hierarchical min/max summaries rebuilt after a
-/// compaction (§4.2 of the paper discusses the trade-off; 16 keeps the
-/// upper levels tiny while still skipping 16× the buckets per probe).
-const HIERARCHY_FANOUT: u32 = 16;
+use crate::warehouse::{commit_manifest, Export};
+use sma_storage::PageStore;
 
 /// The stages of the compaction protocol, in order — the crash-injection
 /// seam, mirroring [`FlushStage`]:
@@ -50,8 +39,8 @@ pub enum CompactStage {
     /// Manifest atomically replaced — **the commit point**. The merged
     /// segments are live; the superseded delta files are still on disk.
     Committed,
-    /// Superseded segment files deleted and hierarchical SMAs rebuilt. A
-    /// full [`StreamingWarehouse::compact`].
+    /// Superseded segment files deleted. A full
+    /// [`StreamingWarehouse::compact`].
     Complete,
 }
 
@@ -74,45 +63,16 @@ pub struct CompactionReport {
     pub segments_before: usize,
     /// Total committed segments after (one per table).
     pub segments_after: usize,
-    /// Hierarchical min/max summaries rebuilt over the refreshed SMAs.
-    pub hierarchies_rebuilt: usize,
 }
 
 impl fmt::Display for CompactionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "epoch {}: {} table(s), {} -> {} segment(s), {} hierarchy(ies) rebuilt",
-            self.epoch,
-            self.tables,
-            self.segments_before,
-            self.segments_after,
-            self.hierarchies_rebuilt
+            "epoch {}: {} table(s), {} -> {} segment(s)",
+            self.epoch, self.tables, self.segments_before, self.segments_after
         )
     }
-}
-
-/// Fully exports `table` into a fresh single segment file `{name}{suffix}.tbl`
-/// in `dir` (write-temp → rename; the source store is never written).
-fn export_merged_segment(
-    dir: &Path,
-    name: &str,
-    table: &Table,
-    suffix: &str,
-) -> Result<SegmentMeta, IngestError> {
-    let file = format!("{name}{suffix}.tbl");
-    let tmp = dir.join(format!("{file}.tmp"));
-    let mut store = FileStore::create(&tmp).map_err(WarehouseError::from)?;
-    table
-        .export_to_store(&mut store)
-        .map_err(WarehouseError::from)?;
-    drop(store);
-    std::fs::rename(&tmp, dir.join(&file))?;
-    Ok(SegmentMeta {
-        file,
-        start: 0,
-        pages: table.page_count(),
-    })
 }
 
 impl<S: PageStore> StreamingWarehouse<S> {
@@ -144,104 +104,27 @@ impl<S: PageStore> StreamingWarehouse<S> {
         for name in &names {
             self.warehouse.refresh_smas(name)?;
         }
-        // Under the columnar policy, compaction is the catch-all
-        // conversion point: it rewrites every table wholesale, so convert
-        // every eligible sealed bucket (not just the ones above the last
-        // flush watermark). The exports below then persist chunk pages,
-        // and recovery reclassifies them from the page markers.
-        if self.columnar {
-            for name in &names {
-                if let Some(table) = self.warehouse.table_mut(name) {
-                    table
-                        .convert_buckets_from(0)
-                        .map_err(WarehouseError::from)?;
-                }
-            }
-        }
         // A compaction generation: catalog epoch advances (fresh file
         // names, fresh SMA images), watermark and WAL epoch do not — the
-        // log is not truncated and its records must keep replaying.
-        let epoch = self.warehouse.begin_compaction_generation();
-        report.epoch = epoch;
-        let suffix = format!(".e{epoch}");
-        let dir = self.dir.clone();
-        // One worker per table, scoped: tables are disjoint and exports
-        // only read their source, so this is embarrassingly parallel.
-        // Join in name order and map panics to errors, same as the
-        // bucket-parallel operators.
-        let exported: Vec<Result<SegmentMeta, IngestError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = names
-                .iter()
-                .filter_map(|name| self.warehouse.table(name).map(|t| (name, t)))
-                .map(|(name, table)| {
-                    let dir = dir.as_path();
-                    let suffix = suffix.as_str();
-                    scope.spawn(move || export_merged_segment(dir, name, table, suffix))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                    Err(_) => Err(IngestError::Io(io::Error::other(
-                        "compaction worker panicked",
-                    ))),
-                })
-                .collect()
-        });
-        let mut lists = SegmentLists::new();
-        for (name, seg) in names.iter().zip(exported) {
-            lists.insert(name.clone(), vec![seg?]);
-        }
-        let meta = CommitMeta {
-            epoch,
-            watermark: self.warehouse.watermark(),
-            wal_epoch: self.warehouse.wal_epoch(),
-        };
-        let manifest = self
-            .warehouse
-            .encode_generation(&dir, meta, &suffix, &lists)?;
+        // log is not truncated and its records must keep replaying. Under
+        // the columnar policy this full export is the catch-all
+        // conversion point: every eligible sealed bucket is converted,
+        // and recovery reclassifies the chunk pages from their markers.
+        report.epoch = self.warehouse.begin_compaction_generation();
+        let (manifest, lists) = self.write_generation(Export::Full)?;
         report.segments_after = lists.values().map(Vec::len).sum();
         if stage == CompactStage::SegmentsWritten {
             return Ok(report);
         }
         // The commit point: the merged generation becomes the one
         // recovery loads. Everything before this line only added files.
-        commit_manifest(&dir, &manifest)?;
+        commit_manifest(&self.dir, &manifest)?;
         self.warehouse.install_segments(lists);
         if stage == CompactStage::Committed {
             return Ok(report);
         }
-        // Post-commit: rebuild the hierarchical min/max summaries over
-        // the refreshed flat SMAs, then delete the superseded segments.
-        report.hierarchies_rebuilt = self.rebuild_hierarchies();
-        crate::ingest::remove_unreferenced(&dir)?;
+        crate::ingest::remove_unreferenced(&self.dir)?;
         Ok(report)
-    }
-
-    /// Rebuilds the hierarchical min/max summaries from every min/max SMA
-    /// pair over the same column, replacing the previous set. Returns how
-    /// many were (re)built.
-    fn rebuild_hierarchies(&mut self) -> usize {
-        self.hierarchies.clear();
-        let names: Vec<String> = self.warehouse.table_names().map(str::to_string).collect();
-        for name in &names {
-            let Some(set) = self.warehouse.smas(name) else {
-                continue;
-            };
-            for min_sma in set.smas() {
-                for max_sma in set.smas() {
-                    if let Some(h) =
-                        HierarchicalMinMax::from_smas(min_sma, max_sma, HIERARCHY_FANOUT)
-                    {
-                        let key = format!("{name}:{}/{}", min_sma.def().name, max_sma.def().name);
-                        self.hierarchies.insert(key, h);
-                    }
-                }
-            }
-        }
-        self.hierarchies.len()
     }
 
     /// Triggers a compaction when the policy threshold is exceeded —
@@ -263,23 +146,5 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// Replaces the automatic-compaction policy.
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
         self.compaction = policy;
-    }
-
-    /// The hierarchical min/max summary rebuilt by the last compaction
-    /// for `relation`'s SMA pair `min_name`/`max_name`, if any.
-    pub fn hierarchy(
-        &self,
-        relation: &str,
-        min_name: &str,
-        max_name: &str,
-    ) -> Option<&HierarchicalMinMax> {
-        self.hierarchies
-            .get(&format!("{relation}:{min_name}/{max_name}"))
-    }
-
-    /// Number of hierarchical min/max summaries currently held (rebuilt
-    /// by the last compaction).
-    pub fn hierarchy_count(&self) -> usize {
-        self.hierarchies.len()
     }
 }

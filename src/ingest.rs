@@ -27,8 +27,8 @@
 //! 4. **Compaction** — delta segments accumulate until a
 //!    [`CompactionPolicy`](crate::compact::CompactionPolicy) threshold
 //!    triggers a [`compact`](StreamingWarehouse::compact): a full rewrite
-//!    that merges every table back to a single segment and rebuilds
-//!    hierarchical SMAs (see [`crate::compact`]).
+//!    that merges every table back to a single segment (see
+//!    [`crate::compact`]).
 //!
 //! The flush protocol's commit point is the manifest rename. Every earlier
 //! step only adds files the old manifest does not reference; every later
@@ -41,7 +41,7 @@
 //! cleanup, so an error after the commit point is finished by the next
 //! flush instead of leaking debris until restart.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -50,10 +50,9 @@ use std::time::Duration;
 
 use crate::compact::CompactionPolicy;
 use crate::warehouse::{
-    commit_manifest, manifest_files, CommitMeta, QueryResult, RecoveryReport, Warehouse,
+    commit_manifest, manifest_files, Export, QueryResult, RecoveryReport, SegmentLists, Warehouse,
     WarehouseError,
 };
-use sma_core::HierarchicalMinMax;
 use sma_exec::AggregateQuery;
 use sma_storage::{
     make_wal_record, FileStore, Memtable, PageStore, QueryBudget, Stopwatch, StoreError, Table, Wal,
@@ -273,10 +272,7 @@ pub struct StreamingWarehouse<S: PageStore = FileStore> {
     /// layout everywhere, byte-identical to previous releases. Turning it
     /// on never changes query results — only the physical layout of
     /// sealed buckets (see `Table::convert_bucket_to_columnar`).
-    pub(crate) columnar: bool,
-    /// Hierarchical min/max SMAs rebuilt by the last compaction, keyed
-    /// `"RELATION:min_name/max_name"`.
-    pub(crate) hierarchies: BTreeMap<String, HierarchicalMinMax>,
+    columnar: bool,
 }
 
 impl StreamingWarehouse {
@@ -288,13 +284,13 @@ impl StreamingWarehouse {
     /// [`StreamingWarehouse::insert`]; `0` disables automatic flushing.
     pub fn create(
         dir: impl AsRef<Path>,
-        mut warehouse: Warehouse,
+        warehouse: Warehouse,
         flush_threshold: usize,
     ) -> Result<StreamingWarehouse, IngestError> {
-        let dir = dir.as_ref().to_path_buf();
-        seal_initial_generation(&mut warehouse, &dir)?;
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
         let store = FileStore::create(dir.join(WAL_FILE))?;
-        StreamingWarehouse::with_wal_store(dir, warehouse, flush_threshold, store)
+        StreamingWarehouse::create_with_wal_store(dir, warehouse, flush_threshold, store)
     }
 
     /// Reopens a streaming warehouse after a shutdown or crash.
@@ -366,43 +362,11 @@ impl StreamingWarehouse {
             report.wal_realigned = true;
         }
 
-        let durable_seq = next_seq - 1;
         Ok((
-            StreamingWarehouse {
-                warehouse,
-                dir,
-                wal,
-                memtable,
-                next_seq,
-                flush_threshold,
-                commit_policy: CommitPolicy::default(),
-                staged: Vec::new(),
-                group_timer: None,
-                durable_seq,
-                pending_flush_error: None,
-                pending: None,
-                compaction: CompactionPolicy::default(),
-                columnar: false,
-                hierarchies: BTreeMap::new(),
-            },
+            StreamingWarehouse::assemble(warehouse, dir, wal, memtable, next_seq, flush_threshold),
             report,
         ))
     }
-}
-
-/// Seals `warehouse` into `dir` as the initial committed generation:
-/// full single-segment export, manifest commit, then the segment lists
-/// are installed so later flushes can append deltas against them.
-fn seal_initial_generation(warehouse: &mut Warehouse, dir: &Path) -> Result<(), IngestError> {
-    let meta = CommitMeta {
-        epoch: warehouse.epoch(),
-        watermark: warehouse.watermark(),
-        wal_epoch: warehouse.wal_epoch(),
-    };
-    let (stream, lists) = warehouse.save_generation(dir, meta, "")?;
-    commit_manifest(dir, &stream)?;
-    warehouse.install_segments(lists);
-    Ok(())
 }
 
 impl<S: PageStore> StreamingWarehouse<S> {
@@ -418,36 +382,79 @@ impl<S: PageStore> StreamingWarehouse<S> {
         store: S,
     ) -> Result<StreamingWarehouse<S>, IngestError> {
         let dir = dir.as_ref().to_path_buf();
-        seal_initial_generation(&mut warehouse, &dir)?;
-        StreamingWarehouse::with_wal_store(dir, warehouse, flush_threshold, store)
-    }
-
-    /// Wraps an already-sealed warehouse and a fresh WAL on `store`.
-    fn with_wal_store(
-        dir: PathBuf,
-        warehouse: Warehouse,
-        flush_threshold: usize,
-        store: S,
-    ) -> Result<StreamingWarehouse<S>, IngestError> {
+        // The initial generation: a full single-segment export, committed,
+        // then installed so later flushes append deltas against it.
+        let (manifest, lists) = warehouse.write_generation(&dir, "", Export::Full)?;
+        commit_manifest(&dir, &manifest)?;
+        warehouse.install_segments(lists);
         let wal = Wal::create(store, warehouse.wal_epoch())?;
         let next_seq = warehouse.watermark() + 1;
-        Ok(StreamingWarehouse {
-            durable_seq: next_seq - 1,
+        Ok(StreamingWarehouse::assemble(
             warehouse,
             dir,
             wal,
-            memtable: Memtable::new(),
+            Memtable::new(),
+            next_seq,
+            flush_threshold,
+        ))
+    }
+
+    /// The one constructor: a sealed warehouse, its WAL, the acknowledged
+    /// rows not yet sealed, and default commit, compaction and layout
+    /// policies.
+    fn assemble(
+        warehouse: Warehouse,
+        dir: PathBuf,
+        wal: Wal<S>,
+        memtable: Memtable,
+        next_seq: u64,
+        flush_threshold: usize,
+    ) -> StreamingWarehouse<S> {
+        StreamingWarehouse {
+            warehouse,
+            dir,
+            wal,
+            memtable,
             next_seq,
             flush_threshold,
             commit_policy: CommitPolicy::default(),
             staged: Vec::new(),
             group_timer: None,
+            durable_seq: next_seq - 1,
             pending_flush_error: None,
             pending: None,
             compaction: CompactionPolicy::default(),
             columnar: false,
-            hierarchies: BTreeMap::new(),
-        })
+        }
+    }
+
+    /// Writes the next generation's segment files and SMA images under
+    /// the `.e{epoch}` suffix and returns its uncommitted manifest and
+    /// segment lists — a flush exports deltas, a compaction everything.
+    /// Under the columnar policy, each table's buckets are first converted
+    /// from the same page the export starts at; the tail bucket (the one
+    /// appends land in) is skipped by the converter itself. A crash before
+    /// the manifest commit is harmless: recovery reloads the committed
+    /// row-major segments and the next generation converts again.
+    pub(crate) fn write_generation(
+        &mut self,
+        export: Export,
+    ) -> Result<(Vec<u8>, SegmentLists), IngestError> {
+        if self.columnar {
+            let names: Vec<String> = self.warehouse.table_names().map(str::to_string).collect();
+            for name in names {
+                let from = self.warehouse.export_from(&name, export);
+                if let Some(table) = self.warehouse.table_mut(&name) {
+                    table
+                        .convert_buckets_from(from)
+                        .map_err(WarehouseError::from)?;
+                }
+            }
+        }
+        let suffix = format!(".e{}", self.warehouse.epoch());
+        Ok(self
+            .warehouse
+            .write_generation(&self.dir, &suffix, export)?)
     }
 
     /// Consumes the front end, returning the WAL's backing store — fault
@@ -711,45 +718,15 @@ impl<S: PageStore> StreamingWarehouse<S> {
         }
         if self.pending == Some(FlushStage::Applied) {
             // Stage 2: export the unsealed page range of every touched
-            // table into fresh `.e{epoch}` delta segments. Committed
-            // files are never opened for writing. A catalog-only commit
-            // (DDL with an empty memtable) must not regress the
-            // published watermark, so keep at least the committed one.
-            //
-            // Columnar policy: buckets wholly inside the dirty range are
-            // converted to the PAX layout first, so the delta segments
-            // carry column-major pages. Converting only above the dirty
-            // boundary keeps the delta incremental; the tail bucket (the
-            // one appends land in) is skipped by the converter itself.
-            // A crash before the manifest commit is harmless — recovery
-            // reloads the committed row-major segments and replays the
-            // WAL, and the next flush simply converts again.
-            if self.columnar {
-                for name in self
-                    .warehouse
-                    .table_names()
-                    .map(str::to_string)
-                    .collect::<Vec<_>>()
-                {
-                    if let Some(table) = self.warehouse.table_mut(&name) {
-                        let from = table.unsealed_from();
-                        table
-                            .convert_buckets_from(from)
-                            .map_err(WarehouseError::from)?;
-                    }
-                }
-            }
+            // table into fresh `.e{epoch}` delta segments (columnar
+            // policy: converted first, so the deltas carry column-major
+            // pages). Committed files are never opened for writing. A
+            // catalog-only commit (DDL with an empty memtable) must not
+            // regress the published watermark, so keep at least the
+            // committed one.
             let watermark = self.memtable.max_seq().max(self.warehouse.watermark());
-            let epoch = self.warehouse.begin_flush_generation(watermark);
-            let suffix = format!(".e{epoch}");
-            let meta = CommitMeta {
-                epoch,
-                watermark,
-                wal_epoch: epoch,
-            };
-            let (manifest, lists) = self
-                .warehouse
-                .save_delta_generation(&self.dir, meta, &suffix)?;
+            self.warehouse.begin_flush_generation(watermark);
+            let (manifest, lists) = self.write_generation(Export::Delta)?;
             if stage == FlushStage::SegmentsWritten {
                 return Ok(());
             }

@@ -27,8 +27,8 @@ use sma_core::persist::{decode_definition, encode_definition, load_sma_file, sav
 use sma_core::{Sma, SmaDefinition, SmaError, SmaSet};
 use sma_exec::{plan, AggregateQuery, DegradationReport, ExecError, PlanKind, PlannerConfig};
 use sma_storage::{
-    atomic_write_file, crc32, sync_dir, FileStore, PageNo, PageStore, QueryBudget, SegmentedStore,
-    StoreError, Table, TableError, TupleId,
+    atomic_write_file, crc32, map_morsels, sync_dir, FileStore, PageNo, PageStore, Parallelism,
+    QueryBudget, SegmentedStore, StoreError, Table, TableError, TupleId,
 };
 use sma_types::{Column, DataType, Schema, Tuple};
 
@@ -263,11 +263,9 @@ impl Warehouse {
     /// by the streaming flush path just before it persists the new
     /// segment generation. A flush truncates the WAL when it completes,
     /// so the WAL epoch follows the catalog epoch here.
-    pub(crate) fn begin_flush_generation(&mut self, watermark: u64) -> u64 {
+    pub(crate) fn begin_flush_generation(&mut self, watermark: u64) {
         self.watermark = watermark;
-        let epoch = self.catalog.advance_epoch();
-        self.wal_epoch = epoch;
-        epoch
+        self.wal_epoch = self.catalog.advance_epoch();
     }
 
     /// Bumps the flush generation for a compaction, which rewrites
@@ -484,129 +482,118 @@ impl Warehouse {
     /// directory that [`Warehouse::open_with_recovery`] reads as either
     /// the old state or the new state, never a mixture.
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), WarehouseError> {
-        let meta = CommitMeta {
-            epoch: self.catalog.epoch(),
-            watermark: self.watermark,
-            wal_epoch: self.wal_epoch,
-        };
         let dir = dir.as_ref();
-        let (stream, _lists) = self.save_generation(dir, meta, "")?;
+        let (stream, _lists) = self.write_generation(dir, "", Export::Full)?;
         commit_manifest(dir, &stream)
     }
 
-    /// The segment-writing half of [`Warehouse::save_to_dir`], with an
-    /// explicit commit point and a filename `suffix` spliced in before
-    /// each `.tbl`/`.sma` extension. Every table is fully exported into a
-    /// single fresh segment file; the manifest stream naming them is
-    /// *returned* (along with the single-segment lists), not written —
-    /// nothing is committed until the caller passes it to
-    /// [`commit_manifest`], then adopts the lists via
-    /// [`Warehouse::install_segments`].
-    ///
-    /// The streaming flush path saves every generation under a distinct
-    /// suffix (`.e1`, `.e2`, …): segment files of the previous generation
-    /// are never opened for writing, so a crash anywhere before the
-    /// manifest rename leaves the old generation fully intact and a crash
-    /// after it leaves the new one — the directory is always exactly one
-    /// committed state plus, at worst, dead files that cleanup removes.
-    pub(crate) fn save_generation(
-        &self,
-        dir: impl AsRef<Path>,
-        meta: CommitMeta,
-        suffix: &str,
-    ) -> Result<(Vec<u8>, SegmentLists), WarehouseError> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut lists = SegmentLists::new();
-        for (name, table) in &self.tables {
-            // Table and SMA names come from the SQL parser (identifiers:
-            // alphanumerics and underscores), so they are filename-safe.
-            let tbl_file = format!("{name}{suffix}.tbl");
-            let tmp = dir.join(format!("{tbl_file}.tmp"));
-            let mut store = FileStore::create(&tmp)?;
-            table.export_to_store(&mut store)?;
-            drop(store);
-            fs::rename(&tmp, dir.join(&tbl_file))?;
-            lists.insert(
-                name.clone(),
-                vec![SegmentMeta {
-                    file: tbl_file,
-                    start: 0,
-                    pages: table.page_count(),
-                }],
-            );
-        }
-        let stream = self.encode_generation(dir, meta, suffix, &lists)?;
-        Ok((stream, lists))
+    /// First page of `name` that a generation of kind `export` writes: 0
+    /// for a full export; for a delta, the first dirty page, pulled back
+    /// to cover any pages the committed segments never saw (a table that
+    /// grew while its list lagged behind).
+    pub(crate) fn export_from(&self, name: &str, export: Export) -> PageNo {
+        let (Export::Delta, Some(table)) = (export, self.tables.get(name)) else {
+            return 0;
+        };
+        let covered = self
+            .segments
+            .get(name)
+            .into_iter()
+            .flatten()
+            .map(|s| s.start + s.pages)
+            .max()
+            .unwrap_or(0);
+        table.unsealed_from().min(covered)
     }
 
-    /// Like [`Warehouse::save_generation`] but *incremental*: each table
-    /// exports only its unsealed page range (everything written since the
-    /// last committed generation) into a small `.e{epoch}` delta segment,
-    /// extending its previous segment list instead of replacing it. An
-    /// untouched table writes no file at all and keeps its list verbatim.
-    /// SMA images are always rewritten whole — they are tiny by the
-    /// paper's premise, and their bucket entries shift on every append.
-    pub(crate) fn save_delta_generation(
+    /// The one generation writer, behind [`Warehouse::save_to_dir`], the
+    /// streaming warehouse's initial seal, its flushes and its
+    /// compactions. Each table's pages [`Warehouse::export_from`]`..
+    /// page_count` go into a fresh `{name}{suffix}.tbl` segment file
+    /// (write-temp → fsync → rename; committed files are never opened for
+    /// writing), tables in parallel through [`map_morsels`]. Then this
+    /// generation's SMA images are written and the manifest stream naming
+    /// everything is *returned*, not written: nothing is committed until
+    /// the caller passes it to [`commit_manifest`] and adopts the lists
+    /// via [`Warehouse::install_segments`].
+    ///
+    /// A full export replaces each table's list with its one new segment,
+    /// even for an empty table, and never reuses a committed list — the
+    /// target may be a fresh directory. A delta extends each list,
+    /// dropping segments the new one fully shadows; an untouched table
+    /// writes no file and keeps its list verbatim. SMA images are always
+    /// rewritten whole — they are tiny by the paper's premise, and their
+    /// bucket entries shift on every append.
+    ///
+    /// The streaming path writes every generation under a distinct suffix
+    /// (`.e1`, `.e2`, …), so a crash anywhere before the manifest rename
+    /// leaves the old generation fully intact and a crash after it leaves
+    /// the new one — the directory is always exactly one committed state
+    /// plus, at worst, dead files that cleanup removes.
+    pub(crate) fn write_generation(
         &self,
-        dir: impl AsRef<Path>,
-        meta: CommitMeta,
+        dir: &Path,
         suffix: &str,
+        export: Export,
     ) -> Result<(Vec<u8>, SegmentLists), WarehouseError> {
-        let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let mut lists = SegmentLists::new();
-        for (name, table) in &self.tables {
-            let old: &[SegmentMeta] = self.segments.get(name).map(Vec::as_slice).unwrap_or(&[]);
-            let covered: PageNo = old.iter().map(|s| s.start + s.pages).max().unwrap_or(0);
-            // The delta must reach back to the first dirty page, and also
-            // cover any pages the committed segments never saw (a table
-            // that grew while its list lagged behind).
-            let from = table.unsealed_from().min(covered);
-            let pages = table.page_count();
-            if from >= pages {
-                // Nothing new to persist: the committed segments already
-                // cover every page and none of them went dirty.
-                lists.insert(name.clone(), old.to_vec());
-                continue;
-            }
-            let tbl_file = format!("{name}{suffix}.tbl");
-            let tmp = dir.join(format!("{tbl_file}.tmp"));
-            let mut store = FileStore::create(&tmp)?;
-            table.export_page_range(&mut store, from)?;
-            drop(store);
-            fs::rename(&tmp, dir.join(&tbl_file))?;
-            // Segments fully shadowed by the new delta are dead weight:
-            // drop them from the list (cleanup removes their files once
-            // the manifest stops naming them).
-            let mut list: Vec<SegmentMeta> =
-                old.iter().filter(|s| s.start < from).cloned().collect();
-            list.push(SegmentMeta {
-                file: tbl_file,
-                start: from,
-                pages: pages - from,
-            });
-            lists.insert(name.clone(), list);
-        }
-        let stream = self.encode_generation(dir, meta, suffix, &lists)?;
+        let tables: Vec<(&String, &Table)> = self.tables.iter().collect();
+        let morsels = map_morsels(
+            tables.len() as u32,
+            Parallelism::default(),
+            |morsel| {
+                let mut lists = Vec::new();
+                for &(name, table) in tables.iter().skip(morsel.start as usize).take(morsel.len()) {
+                    let old = self.segments.get(name).map(Vec::as_slice).unwrap_or(&[]);
+                    let from = self.export_from(name, export);
+                    let pages = table.page_count();
+                    if export == Export::Delta && from >= pages {
+                        lists.push((name.clone(), old.to_vec()));
+                        continue;
+                    }
+                    // Table names come from the SQL parser (identifiers:
+                    // alphanumerics and underscores), so they are
+                    // filename-safe.
+                    let file = format!("{name}{suffix}.tbl");
+                    let tmp = dir.join(format!("{file}.tmp"));
+                    let mut store = FileStore::create(&tmp)?;
+                    table.export_page_range(&mut store, from)?;
+                    drop(store);
+                    fs::rename(&tmp, dir.join(&file))?;
+                    // Committed segments below `from` stay (none for a
+                    // full export); the new one shadows the rest.
+                    let mut list: Vec<SegmentMeta> =
+                        old.iter().filter(|s| s.start < from).cloned().collect();
+                    list.push(SegmentMeta {
+                        file,
+                        start: from,
+                        pages: pages - from,
+                    });
+                    lists.push((name.clone(), list));
+                }
+                Ok(lists)
+            },
+            || WarehouseError::Io(io::Error::other("segment export worker panicked")),
+        )?;
+        let lists: SegmentLists = morsels.into_iter().flatten().collect();
+        let stream = self.encode_generation(dir, suffix, &lists)?;
         Ok((stream, lists))
     }
 
     /// Writes this generation's SMA images into `dir` and encodes the
-    /// manifest stream naming `lists` + those images — the shared tail of
-    /// full saves, delta flushes, and compactions. The stream is returned
-    /// uncommitted; pass it to [`commit_manifest`].
-    pub(crate) fn encode_generation(
+    /// manifest stream naming `lists` + those images under the current
+    /// epoch, watermark and WAL epoch — the tail of
+    /// [`Warehouse::write_generation`].
+    fn encode_generation(
         &self,
         dir: &Path,
-        meta: CommitMeta,
         suffix: &str,
         lists: &SegmentLists,
     ) -> Result<Vec<u8>, WarehouseError> {
         let mut manifest = Vec::new();
-        put_u64(&mut manifest, meta.epoch);
-        put_u64(&mut manifest, meta.watermark);
-        put_u64(&mut manifest, meta.wal_epoch);
+        put_u64(&mut manifest, self.catalog.epoch());
+        put_u64(&mut manifest, self.watermark);
+        put_u64(&mut manifest, self.wal_epoch);
         // Manifest v3: the table-count high bit signals that each table
         // entry carries a layout byte after bucket_pages.
         put_u32(&mut manifest, MANIFEST_V3_FLAG | (self.tables.len() as u32));
@@ -822,6 +809,17 @@ pub(crate) struct SegmentMeta {
 /// Per-table committed segment lists, in commit order (later segments
 /// shadow earlier ones on overlap).
 pub(crate) type SegmentLists = BTreeMap<String, Vec<SegmentMeta>>;
+
+/// Which pages of each table [`Warehouse::write_generation`] exports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Export {
+    /// Every page, into one segment that replaces the table's list:
+    /// `save_to_dir`, the streaming warehouse's initial seal, compaction.
+    Full,
+    /// The pages written since the committed generation, extending the
+    /// table's list: a flush.
+    Delta,
+}
 
 /// Buffer-pool pages for tables reopened from disk (matches
 /// `Table::in_memory`'s generous default).
@@ -1146,9 +1144,9 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
 }
 
 /// The commit point of a save: atomically replaces [`MANIFEST_FILE`] with
-/// `stream` (as returned by `save_generation`) and fsyncs the directory.
-/// Until this returns, the previously committed generation is still the
-/// one recovery will load.
+/// `stream` (as returned by [`Warehouse::write_generation`]) and fsyncs
+/// the directory. Until this returns, the previously committed generation
+/// is still the one recovery will load.
 pub(crate) fn commit_manifest(dir: &Path, stream: &[u8]) -> Result<(), WarehouseError> {
     atomic_write_file(dir.join(MANIFEST_FILE), stream)?;
     sync_dir(dir)?;

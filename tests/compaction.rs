@@ -101,6 +101,17 @@ fn fragmented(dir: &Path, flushes: usize, per_flush: usize) -> (StreamingWarehou
     (sw, rows)
 }
 
+/// The sorted `.tbl` segment files of `relation` in `dir`.
+fn table_files(dir: &Path, relation: &str) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with(&format!("{relation}.")) && f.ends_with(".tbl"))
+        .collect();
+    files.sort();
+    files
+}
+
 /// Crash after every stage of the compaction protocol: recovery restores a
 /// committed generation holding every acknowledged row exactly once, and a
 /// query over it matches the bulk-loaded reference.
@@ -276,8 +287,8 @@ fn rows_acknowledged_after_a_compaction_survive_a_crash() {
 }
 
 /// Automatic compaction: threshold flushes fragment the table, the policy
-/// merges it back, the segment list stays bounded, hierarchical SMAs are
-/// rebuilt, and answers never change — in-process and across a restart.
+/// merges it back, the segment list stays bounded, and answers never
+/// change — in-process and across a restart.
 #[test]
 fn compaction_policy_keeps_the_segment_list_bounded() {
     let dir = scratch_path("compact-policy");
@@ -297,14 +308,6 @@ fn compaction_policy_keeps_the_segment_list_bounded() {
         "got {} segments",
         sw.warehouse().segment_count("S")
     );
-    assert!(
-        sw.hierarchy_count() >= 1,
-        "a compaction ran and rebuilt hierarchies"
-    );
-    assert!(
-        sw.hierarchy("S", "s_min", "s_max").is_some(),
-        "the min/max pair over X forms a hierarchy"
-    );
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&all, i64::MAX));
 
@@ -314,4 +317,121 @@ fn compaction_policy_keeps_the_segment_list_bounded() {
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&all, i64::MAX));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two relations, one written and one untouched. Every flush must leave
+/// the untouched table's committed segment alone (no new file, the same
+/// one-segment list), and a crash at every compaction stage must reopen
+/// both tables as a committed generation answering like the bulk
+/// reference — one segment each once a compaction has committed.
+#[test]
+fn compaction_crash_at_every_stage_with_an_untouched_table() {
+    let t_rows: Vec<Tuple> = (1000..1010).map(padded_tuple).collect();
+    let expected_t = bulk_reference(&t_rows, i64::MAX);
+    for stage in [
+        CompactStage::SegmentsWritten,
+        CompactStage::Committed,
+        CompactStage::Complete,
+    ] {
+        let dir = scratch_path(&format!("compact-two-tables-{stage:?}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = padded_warehouse();
+        w.register(Table::in_memory("T", padded_schema(), 1))
+            .unwrap();
+        w.define_sma("define sma t_min select min(X) from T")
+            .unwrap();
+        w.define_sma("define sma t_max select max(X) from T")
+            .unwrap();
+        for t in &t_rows {
+            w.insert("T", t).unwrap();
+        }
+        let mut sw = StreamingWarehouse::create(&dir, w, 0).unwrap();
+        let mut rows = Vec::new();
+        for f in 0..4 {
+            for i in 0..8 {
+                let t = padded_tuple(f * 8 + i);
+                sw.insert("S", &t).unwrap();
+                rows.push(t);
+            }
+            sw.flush().unwrap();
+            assert_eq!(sw.warehouse().segment_count("T"), 1, "{stage:?} flush {f}");
+            assert_eq!(
+                table_files(&dir, "T"),
+                ["T.tbl"],
+                "{stage:?} flush {f}: the untouched table must keep its segment"
+            );
+        }
+        assert!(sw.warehouse().segment_count("S") > 1, "{stage:?}");
+        let expected_s = bulk_reference(&rows, i64::MAX);
+
+        sw.compact_until(stage).unwrap();
+        drop(sw); // the crash
+
+        let (mut sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+        assert!(
+            report.warehouse.is_clean(),
+            "{stage:?}: {}",
+            report.warehouse
+        );
+        if stage >= CompactStage::Committed {
+            assert_eq!(sw.warehouse().segment_count("S"), 1, "{stage:?}");
+        } else {
+            assert!(sw.warehouse().segment_count("S") > 1, "{stage:?}");
+        }
+        assert_eq!(sw.warehouse().segment_count("T"), 1, "{stage:?}");
+        let got = sw.query("S", small_query(i64::MAX)).unwrap();
+        assert_eq!(got.rows, expected_s, "{stage:?}");
+        let got = sw.query("T", small_query(i64::MAX)).unwrap();
+        assert_eq!(got.rows, expected_t, "{stage:?}");
+
+        // Finishing the compaction merges both tables to one segment each.
+        sw.compact().unwrap();
+        drop(sw);
+        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+        assert!(report.is_clean(), "{stage:?}: after re-compaction");
+        for (name, expected) in [("S", &expected_s), ("T", &expected_t)] {
+            assert_eq!(sw.warehouse().segment_count(name), 1, "{stage:?} {name}");
+            assert_eq!(table_files(&dir, name).len(), 1, "{stage:?} {name}");
+            let got = sw.query(name, small_query(i64::MAX)).unwrap();
+            assert_eq!(&got.rows, expected, "{stage:?} {name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A fragmented streaming directory, reopened as a plain warehouse and
+/// saved into a fresh directory, must land there whole: one segment per
+/// table, the empty relation (which has no segment file at the source)
+/// included, every file the new manifest names present, and the same
+/// answers.
+#[test]
+fn save_to_dir_of_a_fragmented_warehouse_writes_one_segment_per_table() {
+    let src = scratch_path("compact-save-src");
+    std::fs::create_dir_all(&src).unwrap();
+    let (mut sw, rows) = fragmented(&src, 4, 8);
+    sw.register(Table::in_memory("E", padded_schema(), 1))
+        .unwrap();
+    drop(sw);
+
+    let (w, report) = Warehouse::open_with_recovery(&src).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert!(w.segment_count("S") > 1);
+    assert_eq!(w.segment_count("E"), 0, "an empty relation flushes no file");
+
+    let dst = scratch_path("compact-save-dst");
+    w.save_to_dir(&dst).unwrap();
+    let (back, report) = Warehouse::open_with_recovery(&dst).unwrap();
+    assert!(report.is_clean(), "{report}");
+    for name in ["E", "S"] {
+        assert_eq!(back.segment_count(name), 1, "{name}");
+        assert_eq!(table_files(&dst, name), [format!("{name}.tbl")], "{name}");
+    }
+    for hi in [i64::MAX, 13] {
+        let got = back.query("S", small_query(hi)).unwrap();
+        assert_eq!(got.rows, bulk_reference(&rows, hi), "hi {hi}");
+    }
+    let got = back.query("E", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, w.query("E", small_query(i64::MAX)).unwrap().rows);
+    std::fs::remove_dir_all(&src).unwrap();
+    std::fs::remove_dir_all(&dst).unwrap();
 }

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use smadb::exec::{run_query1, AggSpec, AggregateQuery, Query1Config};
 use smadb::sma::{
-    col, encode_sma_stream, load_sma, load_sma_file, save_sma, save_sma_file, AggFn, BucketPred,
-    CmpOp, Sma, SmaDefinition, SmaError, SmaSet,
+    col, encode_sma_stream, load_sma_file, save_sma_file, AggFn, BucketPred, CmpOp, Sma,
+    SmaDefinition, SmaError, SmaSet,
 };
-use smadb::storage::test_util::{flip_bit_in_file, scratch_path, CrashStore};
+use smadb::storage::test_util::{flip_bit_in_file, scratch_path};
 use smadb::storage::Table;
 use smadb::tpcd::{generate_lineitem_table, Clustering, GenConfig};
 use smadb::types::{Column, DataType, Schema, Value};
@@ -72,39 +72,6 @@ fn file_truncation_sweep() {
         }
     }
     std::fs::remove_file(&path).unwrap();
-}
-
-/// The same sweep through the page-store layer: a [`CrashStore`] models
-/// the kernel persisting only a byte prefix (lost trailing pages, torn
-/// final page). Every crash offset either round-trips or reports corrupt.
-#[test]
-fn page_store_truncation_sweep() {
-    let table = sales_table();
-    let sma = sales_sma(&table);
-    let canonical = encode_sma_stream(&sma);
-    let mut pristine = CrashStore::new();
-    let (first, _) = save_sma(&sma, &mut pristine).unwrap();
-
-    for offset in 0..=pristine.len_bytes() {
-        let mut crashed = pristine.clone();
-        crashed.truncate_at(offset);
-        match load_sma(&crashed, first) {
-            Ok(back) => {
-                // Ok is legal only when the crash zeroed nothing that
-                // mattered (it landed in the page padding, or on payload
-                // bytes that were already zero) — and then the image must
-                // be *identical*, never approximately right.
-                assert_eq!(encode_sma_stream(&back), canonical, "torn at {offset}");
-            }
-            Err(SmaError::Corrupt(_)) => {
-                assert!(
-                    (offset as usize) < canonical.len(),
-                    "content survived {offset}"
-                );
-            }
-            Err(other) => panic!("crash at {offset} gave non-corruption error: {other}"),
-        }
-    }
 }
 
 /// Warehouse-level sweep: truncate one SMA file at every byte offset and

@@ -5,10 +5,10 @@
 use std::sync::Arc;
 
 use smadb::sma::{
-    col, load_sma, save_sma, AggFn, BucketPred, Classification, CmpOp, HierarchicalMinMax,
-    ProjectionIndex, Sma, SmaDefinition, SmaSet,
+    col, decode_sma_stream, encode_sma_stream, AggFn, BucketPred, Classification, CmpOp,
+    HierarchicalMinMax, ProjectionIndex, Sma, SmaDefinition, SmaSet,
 };
-use smadb::storage::{MemStore, Table};
+use smadb::storage::Table;
 use smadb::types::{Column, DataType, Schema, StdRng, Value};
 
 fn int_flag_table(rows: &[(i64, u8)]) -> Table {
@@ -61,9 +61,7 @@ fn persistence_roundtrips_arbitrary_smas() {
             def = def.group_by(vec![1]);
         }
         let sma = Sma::build(&t, def).unwrap();
-        let mut store = MemStore::new();
-        let (first, _) = save_sma(&sma, &mut store).unwrap();
-        let back = load_sma(&store, first).unwrap();
+        let back = decode_sma_stream(&encode_sma_stream(&sma)).unwrap();
         assert_eq!(back.def(), sma.def(), "case {case}");
         assert_eq!(back.n_buckets(), sma.n_buckets(), "case {case}");
         assert_eq!(back.file_count(), sma.file_count(), "case {case}");
